@@ -25,6 +25,8 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -42,6 +44,7 @@
 #include "hicond/precond/steiner.hpp"
 #include "hicond/serve/batch.hpp"
 #include "hicond/serve/cache.hpp"
+#include "hicond/serve/server.hpp"
 #include "hicond/serve/snapshot.hpp"
 #include "hicond/solver.hpp"
 #include "hicond/tree/tree_decomposition.hpp"
@@ -290,26 +293,103 @@ std::vector<std::vector<double>> serve_bench_rhs(vidx n, int k) {
   return rhs;
 }
 
+/// The serve cases' grid written as a snapshot into a private temp
+/// directory, so a server (in-process ServerCore or a router deployment)
+/// can `load` it as a client would.
+class ServeSnapshot {
+ public:
+  explicit ServeSnapshot(const Graph& g)
+      : fingerprint_(serve::fingerprint_hex(serve::graph_fingerprint(g))) {
+    char tmpl[] = "/tmp/hicond-bench-serve-XXXXXX";
+    HICOND_CHECK(::mkdtemp(tmpl) != nullptr,
+                 "mkdtemp failed for the serve snapshot directory");
+    dir_ = tmpl;
+    path_ = dir_ + "/bench.hsnap";
+    serve::write_snapshot_file(path_, g);
+  }
+
+  ~ServeSnapshot() {
+    ::unlink(path_.c_str());
+    ::rmdir(dir_.c_str());
+  }
+
+  ServeSnapshot(const ServeSnapshot&) = delete;
+  ServeSnapshot& operator=(const ServeSnapshot&) = delete;
+
+  [[nodiscard]] std::string load_request() const {
+    obs::JsonWriter w;
+    w.begin_object();
+    w.kv("op", "load");
+    w.kv("path", path_);
+    w.end_object();
+    return w.str();
+  }
+
+  [[nodiscard]] const std::string& fingerprint() const {
+    return fingerprint_;
+  }
+
+  /// The private temp directory holding the snapshot (removed with it).
+  [[nodiscard]] const std::string& dir() const { return dir_; }
+
+ private:
+  std::string fingerprint_;
+  std::string dir_;
+  std::string path_;
+};
+
+/// One NDJSON line through ServerCore, answered the way the stdio loop
+/// answers it: an immediate (rejection) response, else the step() result.
+std::string serve_call(serve::ServerCore& core, const std::string& line) {
+  std::optional<std::string> response = core.submit(line);
+  if (!response) response = core.step();
+  HICOND_CHECK(response.has_value(), "server produced no response");
+  return *response;
+}
+
+std::string serve_solve_request(const std::string& fingerprint) {
+  obs::JsonWriter w;
+  w.begin_object();
+  w.kv("op", "solve");
+  w.kv("graph", fingerprint);
+  w.kv("rhs_seed", 1000);
+  w.end_object();
+  return w.str();
+}
+
+serve::ServerOptions serve_bench_options() {
+  return {.cache_bytes = std::size_t{64} << 20,
+          .solver = {.hierarchy = {.coarsest_size = 64}}};
+}
+
+/// serve_solve_cold/warm time one `solve` request line through ServerCore:
+/// parse, cache lookup (or build), the single-RHS PCG solve, and encode.
 BenchCase case_serve_solve_cold(vidx side) {
   const std::string name = "serve_solve_cold/grid2d_" + std::to_string(side);
   return {name, [name, side](int repeats) {
     const Graph g =
         gen::grid2d(side, side, gen::WeightSpec::uniform(1.0, 2.0), 7);
-    const std::uint64_t fp = serve::graph_fingerprint(g);
-    const LaplacianSolverOptions opt{.hierarchy = {.coarsest_size = 64}};
-    const auto rhs = serve_bench_rhs(g.num_vertices(), 1);
+    const ServeSnapshot snapshot(g);
+    const std::string request = serve_solve_request(snapshot.fingerprint());
+    // One loaded server per sample, prepared untimed: every timed solve
+    // meets an empty cache and pays the hierarchy build.
+    std::vector<std::unique_ptr<serve::ServerCore>> servers;
+    for (int i = 0; i < repeats; ++i) {
+      servers.push_back(
+          std::make_unique<serve::ServerCore>(serve_bench_options()));
+      (void)serve_call(*servers.back(), snapshot.load_request());
+    }
+    std::size_t sample = 0;
     return timed_case(name, repeats, [&](CaseResult& out, bool first) {
-      // Fresh cache per sample: every request pays the hierarchy build.
-      serve::HierarchyCache cache(std::size_t{64} << 20);
-      const auto lookup = cache.get_or_build(fp, g, opt);
-      const auto batch = serve::batch_solve(*lookup.solver, rhs);
+      const std::string response = serve_call(*servers[sample++], request);
       if (first) {
+        const obs::JsonValue r = obs::parse_json(response);
         out.metrics = {
             {"vertices", static_cast<double>(g.num_vertices())},
-            {"cache_hit", lookup.hit ? 1.0 : 0.0},
-            {"setup_seconds", lookup.build_seconds},
-            {"iterations", static_cast<double>(batch.stats[0].iterations)},
-            {"converged", batch.stats[0].converged ? 1.0 : 0.0}};
+            {"cache_hit", r.at("cache_hit").boolean ? 1.0 : 0.0},
+            {"setup_seconds", r.at("setup_seconds").number},
+            {"iterations", r.at("iterations").number},
+            {"converged", r.at("converged").boolean ? 1.0 : 0.0}};
       }
     });
   }};
@@ -320,22 +400,23 @@ BenchCase case_serve_solve_warm(vidx side) {
   return {name, [name, side](int repeats) {
     const Graph g =
         gen::grid2d(side, side, gen::WeightSpec::uniform(1.0, 2.0), 7);
-    const std::uint64_t fp = serve::graph_fingerprint(g);
-    const LaplacianSolverOptions opt{.hierarchy = {.coarsest_size = 64}};
-    const auto rhs = serve_bench_rhs(g.num_vertices(), 1);
-    serve::HierarchyCache cache(std::size_t{64} << 20);
-    const auto cold = cache.get_or_build(fp, g, opt);  // populate
+    const ServeSnapshot snapshot(g);
+    const std::string request = serve_solve_request(snapshot.fingerprint());
+    serve::ServerCore core(serve_bench_options());
+    (void)serve_call(core, snapshot.load_request());
+    const obs::JsonValue cold =
+        obs::parse_json(serve_call(core, request));  // populate the cache
     return timed_case(name, repeats, [&](CaseResult& out, bool first) {
-      const auto lookup = cache.get_or_build(fp, g, opt);
-      const auto batch = serve::batch_solve(*lookup.solver, rhs);
+      const std::string response = serve_call(core, request);
       if (first) {
+        const obs::JsonValue r = obs::parse_json(response);
         out.metrics = {
             {"vertices", static_cast<double>(g.num_vertices())},
-            {"cache_hit", lookup.hit ? 1.0 : 0.0},
-            {"cold_setup_seconds", cold.build_seconds},
-            {"warm_setup_seconds", lookup.build_seconds},
-            {"iterations", static_cast<double>(batch.stats[0].iterations)},
-            {"converged", batch.stats[0].converged ? 1.0 : 0.0}};
+            {"cache_hit", r.at("cache_hit").boolean ? 1.0 : 0.0},
+            {"cold_setup_seconds", cold.at("setup_seconds").number},
+            {"warm_setup_seconds", r.at("setup_seconds").number},
+            {"iterations", r.at("iterations").number},
+            {"converged", r.at("converged").boolean ? 1.0 : 0.0}};
       }
     });
   }};
@@ -457,7 +538,9 @@ std::string sibling_binary(const char* env_override, const char* name) {
 /// pays per request on top of the in-process serve_* cases above.
 class RouterDeployment {
  public:
-  explicit RouterDeployment(vidx side) {
+  explicit RouterDeployment(vidx side)
+      : snapshot_(gen::grid2d(side, side, gen::WeightSpec::uniform(1.0, 2.0),
+                              7)) {
     const std::string router_bin =
         sibling_binary("HICOND_ROUTER_BIN", "hicond_router");
     const std::string serve_bin =
@@ -468,16 +551,6 @@ class RouterDeployment {
     HICOND_CHECK(::access(serve_bin.c_str(), X_OK) == 0,
                  "hicond_serve binary not found next to hicond_bench "
                  "(build it, or set HICOND_SERVE_BIN)");
-    char tmpl[] = "/tmp/hicond-bench-shard-XXXXXX";
-    HICOND_CHECK(::mkdtemp(tmpl) != nullptr,
-                 "mkdtemp failed for the router work directory");
-    dir_ = tmpl;
-    snapshot_ = dir_ + "/bench.hsnap";
-    const Graph g =
-        gen::grid2d(side, side, gen::WeightSpec::uniform(1.0, 2.0), 7);
-    serve::write_snapshot_file(snapshot_, g);
-    fingerprint_ = serve::fingerprint_hex(serve::graph_fingerprint(g));
-
     // Each pipe end lands in a unique_fd as soon as it exists, so a failure
     // anywhere below (second pipe(), fork, fdopen) closes the rest instead
     // of leaking them.
@@ -504,7 +577,7 @@ class RouterDeployment {
       response_wr.reset();
       ::execl(router_bin.c_str(), "hicond_router", "--workers", "3",
               "--worker-bin", serve_bin.c_str(), "--socket-dir",
-              dir_.c_str(), static_cast<char*>(nullptr));
+              snapshot_.dir().c_str(), static_cast<char*>(nullptr));
       std::fprintf(stderr, "exec hicond_router failed\n");
       ::_exit(127);
     }
@@ -517,12 +590,7 @@ class RouterDeployment {
     HICOND_CHECK(in_ != nullptr, "fdopen failed for the router pipes");
     (void)response_rd.release();
 
-    obs::JsonWriter load;
-    load.begin_object();
-    load.kv("op", "load");
-    load.kv("path", snapshot_);
-    load.end_object();
-    const obs::JsonValue loaded = call(load.str());
+    const obs::JsonValue loaded = call(snapshot_.load_request());
     HICOND_CHECK(loaded.at("ok").boolean, "router load failed");
   }
 
@@ -539,8 +607,6 @@ class RouterDeployment {
       int status = 0;
       ::waitpid(pid_, &status, 0);
     }
-    ::unlink(snapshot_.c_str());
-    ::rmdir(dir_.c_str());
   }
 
   RouterDeployment(const RouterDeployment&) = delete;
@@ -568,34 +634,24 @@ class RouterDeployment {
   }
 
   [[nodiscard]] const std::string& fingerprint() const {
-    return fingerprint_;
+    return snapshot_.fingerprint();
   }
 
  private:
-  std::string dir_;
-  std::string snapshot_;
-  std::string fingerprint_;
+  // Destroyed last: the router must have shut down (destructor body)
+  // before its socket directory and snapshot are removed.
+  const ServeSnapshot snapshot_;
   pid_t pid_ = -1;
   std::FILE* out_ = nullptr;
   std::FILE* in_ = nullptr;
 };
-
-std::string router_solve_request(const std::string& fingerprint) {
-  obs::JsonWriter w;
-  w.begin_object();
-  w.kv("op", "solve");
-  w.kv("graph", fingerprint);
-  w.kv("rhs_seed", 1000);
-  w.end_object();
-  return w.str();
-}
 
 BenchCase case_serve_router_solve_warm(vidx side) {
   const std::string name =
       "serve_router_solve_warm/grid2d_" + std::to_string(side);
   return {name, [name, side](int repeats) {
     RouterDeployment deployment(side);
-    const std::string request = router_solve_request(
+    const std::string request = serve_solve_request(
         deployment.fingerprint());
     const obs::JsonValue cold = deployment.call(request);  // build once
     return timed_case(name, repeats, [&](CaseResult& out, bool first) {
@@ -627,7 +683,7 @@ BenchCase case_serve_router_batch(vidx side, int k) {
     w.end_object();
     w.end_object();
     const std::string request = w.str();
-    (void)deployment.call(router_solve_request(
+    (void)deployment.call(serve_solve_request(
         deployment.fingerprint()));  // warm the hierarchy
     return timed_case(name, repeats, [&](CaseResult& out, bool first) {
       const obs::JsonValue batch = deployment.call(request);
@@ -658,6 +714,8 @@ struct Suite {
 Suite make_suite(const std::string& name) {
   // Thread-scaling variants pin the two hottest kernels (SpMV and the tree
   // decomposition) at 1/4/8 threads so baselines track parallel speedup.
+  // The smoke suite also pins the k=1/k=8 batches at 4 threads, so CI's
+  // batching ratio gate measures the same thing on any runner.
   if (name == "smoke") {
     return {name,
             5,
@@ -677,7 +735,9 @@ Suite make_suite(const std::string& name) {
              with_threads(case_laplacian_apply(12), 8),
              with_threads(case_tree_decomposition(20000), 1),
              with_threads(case_tree_decomposition(20000), 4),
-             with_threads(case_tree_decomposition(20000), 8)}};
+             with_threads(case_tree_decomposition(20000), 8),
+             with_threads(case_serve_batch(48, 1), 4),
+             with_threads(case_serve_batch(48, 8), 4)}};
   }
   if (name == "full") {
     return {name,

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "hicond/graph/builder.hpp"
+#include "hicond/util/interleave.hpp"
 #include "hicond/util/parallel.hpp"
 
 namespace hicond {
@@ -167,54 +168,32 @@ std::vector<WeightedEdge> Graph::edge_list() const {
   return edges;
 }
 
+template <std::size_t W>
 void Graph::laplacian_apply(std::span<const double> x,
                             std::span<double> y) const {
-  HICOND_CHECK(x.size() == static_cast<std::size_t>(n_), "x size mismatch");
-  HICOND_CHECK(y.size() == static_cast<std::size_t>(n_), "y size mismatch");
-  parallel_for(static_cast<std::size_t>(n_), [&](std::size_t v) {
-    double acc = vol_[v] * x[v];
-    for (eidx a = offsets_[v]; a < offsets_[v + 1]; ++a) {
-      acc -= weights_[static_cast<std::size_t>(a)] *
-             x[static_cast<std::size_t>(targets_[static_cast<std::size_t>(a)])];
-    }
-    y[v] = acc;
+  const auto n = static_cast<std::size_t>(n_);
+  HICOND_CHECK(x.size() == n * W, "x size mismatch");
+  HICOND_CHECK(y.size() == n * W, "y size mismatch");
+  parallel_for(n, [&](std::size_t v) {
+    double acc[W];
+    laplacian_row<W>(v, x.data(), acc);
+    for (std::size_t j = 0; j < W; ++j) y[v * W + j] = acc[j];
   });
 }
 
+#define HICOND_INSTANTIATE(W)                                     \
+  template void Graph::laplacian_apply<W>(std::span<const double>, \
+                                          std::span<double>) const;
+HICOND_FOR_EACH_LANE_WIDTH(HICOND_INSTANTIATE)
+#undef HICOND_INSTANTIATE
+
 void Graph::laplacian_apply_block(std::span<const double> x,
                                   std::span<double> y, int k) const {
-  const auto n = static_cast<std::size_t>(n_);
-  HICOND_CHECK(k >= 1, "block width must be positive");
-  HICOND_CHECK(x.size() == n * static_cast<std::size_t>(k),
-               "x block size mismatch");
-  HICOND_CHECK(y.size() == n * static_cast<std::size_t>(k),
-               "y block size mismatch");
-  // Column chunks bound the per-vertex accumulator array; within a chunk the
-  // arc metadata is loaded once and fans out to every column. Per column the
-  // accumulation order (vol term first, then arcs in CSR order) is exactly
-  // laplacian_apply's, which keeps the batched path bitwise identical.
-  constexpr int kChunk = 8;
-  for (int j0 = 0; j0 < k; j0 += kChunk) {
-    const int jc = std::min(kChunk, k - j0);
-    parallel_for(n, [&](std::size_t v) {
-      double acc[kChunk];
-      for (int j = 0; j < jc; ++j) {
-        acc[j] = vol_[v] *
-                 x[static_cast<std::size_t>(j0 + j) * n + v];
-      }
-      for (eidx a = offsets_[v]; a < offsets_[v + 1]; ++a) {
-        const double w = weights_[static_cast<std::size_t>(a)];
-        const auto t =
-            static_cast<std::size_t>(targets_[static_cast<std::size_t>(a)]);
-        for (int j = 0; j < jc; ++j) {
-          acc[j] -= w * x[static_cast<std::size_t>(j0 + j) * n + t];
-        }
-      }
-      for (int j = 0; j < jc; ++j) {
-        y[static_cast<std::size_t>(j0 + j) * n + v] = acc[j];
-      }
-    });
-  }
+  apply_column_major(x, y, static_cast<std::size_t>(n_), k,
+                     [&](auto width, std::span<const double> in,
+                         std::span<double> out) {
+                       laplacian_apply<decltype(width)::value>(in, out);
+                     });
 }
 
 double Graph::laplacian_quadratic(std::span<const double> x) const {

@@ -126,14 +126,32 @@ class Graph {
   [[nodiscard]] bool identical_to(const Graph& other) const noexcept;
 
   /// y = A_G x where A_G is the graph Laplacian; parallel over vertices.
+  /// W > 1 applies A_G to W vectors stored vertex-interleaved (slot v*W + j
+  /// is vector j at vertex v; util/interleave.hpp): one CSR pass serves all
+  /// W lanes. Every lane accumulates in the same order (vol term first, then
+  /// arcs in CSR order), so lane j is bitwise identical to the W = 1 apply
+  /// of vector j. Instantiated for W in {1, 2, 4, 8}.
+  template <std::size_t W = 1>
   void laplacian_apply(std::span<const double> x, std::span<double> y) const;
 
+  /// Row v of laplacian_apply<W>: acc[j] = (A_G x_j)[v] for the W
+  /// interleaved vectors at x, in the same accumulation order. Fused
+  /// kernels (the V-cycle's residual restriction) call it directly.
+  template <std::size_t W>
+  void laplacian_row(std::size_t v, const double* x, double* acc) const {
+    for (std::size_t j = 0; j < W; ++j) acc[j] = vol_[v] * x[v * W + j];
+    for (auto a = static_cast<std::size_t>(offsets_[v]);
+         a < static_cast<std::size_t>(offsets_[v + 1]); ++a) {
+      const double w = weights_[a];
+      const double* xt = x + static_cast<std::size_t>(targets_[a]) * W;
+      for (std::size_t j = 0; j < W; ++j) acc[j] -= w * xt[j];
+    }
+  }
+
   /// Y = A_G X for k vectors stored column-major (column j occupies
-  /// [j*n, (j+1)*n)). One CSR pass serves all k columns, so the row
-  /// metadata (offsets, targets, weights) is read once instead of k times;
-  /// each column's accumulation order matches laplacian_apply exactly, so
-  /// column j of Y is bitwise identical to a single-vector apply of column
-  /// j of X (the batched-serving determinism guarantee).
+  /// [j*n, (j+1)*n)): a thin adapter that transposes chunks of the block
+  /// into the interleaved layout and runs laplacian_apply<W>. Column j of Y
+  /// is bitwise identical to laplacian_apply of column j of X.
   void laplacian_apply_block(std::span<const double> x, std::span<double> y,
                              int k) const;
 

@@ -9,6 +9,8 @@
 // projected residual.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <functional>
 #include <span>
 #include <vector>
@@ -52,5 +54,21 @@ SolveStats flexible_pcg_solve(const LinearOperator& a,
                               const LinearOperator& m_inv,
                               std::span<const double> b, std::span<double> x,
                               const CgOptions& options = {});
+
+/// The one CG kernel behind the entry points above, over W systems stored
+/// vertex-interleaved in b and x (slot v*W + j is system j at vertex v;
+/// util/interleave.hpp). `a` and `m_inv` map W-lane blocks lane by lane;
+/// `m_inv == nullptr` runs plain CG, `flexible` picks Polak-Ribiere beta.
+/// Each lane keeps its own scalars and the W = 1 reduction trees, so lane j
+/// is bitwise identical to solving system j alone. A lane that converges or
+/// breaks down stays in the block with its updates masked. Instantiated for
+/// W in {1, 2, 4, 8}.
+template <std::size_t W>
+std::array<SolveStats, W> pcg_interleaved(const LinearOperator& a,
+                                          const LinearOperator* m_inv,
+                                          std::span<const double> b,
+                                          std::span<double> x,
+                                          const CgOptions& options,
+                                          bool flexible);
 
 }  // namespace hicond

@@ -4,6 +4,7 @@
 
 #include "hicond/la/vector_ops.hpp"
 #include "hicond/util/common.hpp"
+#include "hicond/util/interleave.hpp"
 #include "hicond/util/parallel.hpp"
 #include "hicond/util/rng.hpp"
 
@@ -51,42 +52,51 @@ ChebyshevSmoother::ChebyshevSmoother(const Graph& g, int degree,
   });
 }
 
+template <std::size_t W>
 void ChebyshevSmoother::smooth(std::span<const double> r,
                                std::span<double> z) const {
-  const std::size_t n = inv_diag_.size();
-  HICOND_CHECK(r.size() == n && z.size() == n, "size mismatch");
+  const std::size_t len = inv_diag_.size() * W;
+  HICOND_CHECK(r.size() == len && z.size() == len, "size mismatch");
   // Standard three-term Chebyshev recurrence on the preconditioned residual
   // (Saad, "Iterative Methods", ch. 12): smooths the band
-  // [lambda_lo, lambda_hi] of D^{-1} A.
+  // [lambda_lo, lambda_hi] of D^{-1} A. Every lane runs the same scalar
+  // recurrence; only the vectors are W wide.
   const double theta = 0.5 * (lambda_hi_ + lambda_lo_);
   const double delta = 0.5 * (lambda_hi_ - lambda_lo_);
-  std::vector<double> residual(n);
-  std::vector<double> d(n);
-  std::vector<double> work(n);
+  std::vector<double> residual(len);
+  std::vector<double> d(len);
+  std::vector<double> work(len);
+  const auto lanes = [&](auto&& fn) {
+    parallel_for(len, [&](std::size_t i) { fn(i, inv_diag_[i / W]); });
+  };
   // residual = r - A z (preconditioned).
-  g_->laplacian_apply(z, work);
-  parallel_for(n, [&](std::size_t i) {
-    residual[i] = (r[i] - work[i]) * inv_diag_[i];
+  g_->laplacian_apply<W>(z, work);
+  lanes([&](std::size_t i, double inv) {
+    residual[i] = (r[i] - work[i]) * inv;
   });
   double alpha = 1.0 / theta;
-  parallel_for(n, [&](std::size_t i) { d[i] = alpha * residual[i]; });
+  lanes([&](std::size_t i, double) { d[i] = alpha * residual[i]; });
   double sigma = theta / delta;
   double rho = 1.0 / sigma;
   for (int k = 1; k < degree_; ++k) {
     la::axpy(1.0, d, z);
-    g_->laplacian_apply(d, work);
-    parallel_for(n, [&](std::size_t i) {
-      residual[i] -= work[i] * inv_diag_[i];
-    });
+    g_->laplacian_apply<W>(d, work);
+    lanes([&](std::size_t i, double inv) { residual[i] -= work[i] * inv; });
     const double rho_next = 1.0 / (2.0 * sigma - rho);
     const double beta = rho * rho_next;
     alpha = 2.0 * rho_next / delta;
-    parallel_for(n, [&](std::size_t i) {
+    lanes([&](std::size_t i, double) {
       d[i] = beta * d[i] + alpha * residual[i];
     });
     rho = rho_next;
   }
   la::axpy(1.0, d, z);
 }
+
+#define HICOND_INSTANTIATE(W)                                               \
+  template void ChebyshevSmoother::smooth<W>(std::span<const double>,       \
+                                             std::span<double>) const;
+HICOND_FOR_EACH_LANE_WIDTH(HICOND_INSTANTIATE)
+#undef HICOND_INSTANTIATE
 
 }  // namespace hicond

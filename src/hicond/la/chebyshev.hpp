@@ -25,7 +25,11 @@ class ChebyshevSmoother {
   ChebyshevSmoother(const Graph& g, int degree = 3, double band_fraction = 4.0);
 
   /// One smoothing pass: improves z as an approximate solution of A z = r,
-  /// starting from the current z (use z = 0 for a first sweep).
+  /// starting from the current z (use z = 0 for a first sweep). W > 1
+  /// smooths W vertex-interleaved vectors (util/interleave.hpp), lane j
+  /// bitwise identical to the W = 1 pass on vector j. Instantiated for W in
+  /// {1, 2, 4, 8}.
+  template <std::size_t W = 1>
   void smooth(std::span<const double> r, std::span<double> z) const;
 
   [[nodiscard]] int degree() const noexcept { return degree_; }

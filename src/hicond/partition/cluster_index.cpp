@@ -34,15 +34,8 @@ ClusterIndex ClusterIndex::build(std::span<const vidx> assignment,
 void ClusterIndex::restrict_sum(std::span<const double> x,
                                 std::span<double> out) const {
   HICOND_CHECK(x.size() == members_.size(), "input size mismatch");
-  HICOND_CHECK(out.size() == static_cast<std::size_t>(num_clusters()),
-               "output size mismatch");
-  parallel_for(out.size(), [&](std::size_t c) {
-    double acc = 0.0;
-    for (std::size_t k = offsets_[c]; k < offsets_[c + 1]; ++k) {
-      acc += x[static_cast<std::size_t>(members_[k])];
-    }
-    out[c] = acc;
-  });
+  restrict_rows<1>([&](std::size_t v, double* acc) { acc[0] += x[v]; },
+                   out);
 }
 
 void ClusterIndex::validate(std::span<const vidx> assignment) const {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "hicond/util/common.hpp"
+#include "hicond/util/parallel.hpp"
 
 namespace hicond {
 
@@ -42,6 +43,24 @@ class ClusterIndex {
   /// out[c] = sum of x[v] over the members of c, in ascending vertex order.
   /// Parallel over clusters; deterministic for every thread count.
   void restrict_sum(std::span<const double> x, std::span<double> out) const;
+
+  /// The same restriction over W lanes of per-vertex values produced on the
+  /// fly: row(v, acc) adds vertex v's W values into acc[0..W), members in
+  /// ascending order, and out[c*W + j] receives lane j of cluster c. The
+  /// V-cycle passes its residual row r - A z here, so the residual is
+  /// summed where it is formed and never stored.
+  template <std::size_t W, typename Row>
+  void restrict_rows(Row&& row, std::span<double> out) const {
+    HICOND_CHECK(out.size() == static_cast<std::size_t>(num_clusters()) * W,
+                 "output size mismatch");
+    parallel_for(offsets_.size() - 1, [&](std::size_t c) {
+      double acc[W] = {};
+      for (std::size_t k = offsets_[c]; k < offsets_[c + 1]; ++k) {
+        row(static_cast<std::size_t>(members_[k]), acc);
+      }
+      for (std::size_t j = 0; j < W; ++j) out[c * W + j] = acc[j];
+    });
+  }
 
   /// Structural invariants: offsets monotone, members a permutation of
   /// [0, num_vertices) grouped by cluster, each group ascending.

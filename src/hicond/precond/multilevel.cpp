@@ -5,6 +5,7 @@
 #include "hicond/la/vector_ops.hpp"
 #include "hicond/obs/metrics.hpp"
 #include "hicond/obs/trace.hpp"
+#include "hicond/util/interleave.hpp"
 #include "hicond/util/parallel.hpp"
 #include "hicond/util/timer.hpp"
 
@@ -68,8 +69,52 @@ MultilevelSteinerSolver MultilevelSteinerSolver::build_impl(
   return s;
 }
 
+MultilevelSteinerSolver::Workspace::Workspace(
+    const MultilevelSteinerSolver& solver, std::size_t width)
+    : owner_(solver.state_.get()), width_(width) {
+  HICOND_CHECK(width >= 1 && width <= kMaxLanes,
+               "workspace width must be in [1, 8]");
+  const State& st = *solver.state_;
+  levels_.resize(st.hierarchy.levels.size());
+  for (std::size_t l = 0; l < levels_.size(); ++l) {
+    const HierarchyLevel& lv = st.hierarchy.levels[l];
+    const auto n = static_cast<std::size_t>(lv.graph.num_vertices()) * width;
+    const auto m =
+        static_cast<std::size_t>(lv.decomposition.num_clusters) * width;
+    Level& w = levels_[l];
+    w.work.resize(n);
+    w.coarse_r.resize(m);
+    w.coarse_z.resize(m);
+  }
+  if (st.options.cycles > 1 && !levels_.empty()) {
+    top_work_.resize(levels_.front().work.size());
+    top_correction_.resize(levels_.front().work.size());
+  }
+}
+
+template <std::size_t W>
+void MultilevelSteinerSolver::coarsest_solve(std::span<const double> r,
+                                             std::span<double> z) const {
+  const State& st = *state_;
+  if (st.coarsest_solver == nullptr) {
+    la::fill(z, 0.0);
+  } else {
+    // The LDL' solve is per vector: gather each lane, solve, scatter back.
+    const std::size_t nc = r.size() / W;
+    std::vector<double> in(nc);
+    std::vector<double> out(nc);
+    for (std::size_t j = 0; j < W; ++j) {
+      for (std::size_t v = 0; v < nc; ++v) in[v] = r[v * W + j];
+      st.coarsest_solver->apply(in, out);
+      for (std::size_t v = 0; v < nc; ++v) z[v * W + j] = out[v];
+    }
+  }
+}
+
+template <std::size_t W>
 void MultilevelSteinerSolver::cycle(int level, std::span<const double> r,
-                                    std::span<double> z) const {
+                                    std::span<double> z,
+                                    Workspace& ws) const {
   State& st = *state_;
   // Inclusive per-level attribution; apply() is single-caller, so plain
   // accumulation into the shared state is race-free.
@@ -86,217 +131,131 @@ void MultilevelSteinerSolver::cycle(int level, std::span<const double> r,
   } accumulate{level_timer, attribution};
 
   if (level == st.hierarchy.num_levels()) {
-    if (st.coarsest_solver != nullptr) {
-      st.coarsest_solver->apply(r, z);
-    } else {
-      la::fill(z, 0.0);
-    }
+    coarsest_solve<W>(r, z);
     return;
   }
-  const HierarchyLevel& lv =
-      st.hierarchy.levels[static_cast<std::size_t>(level)];
+  const auto l = static_cast<std::size_t>(level);
+  const HierarchyLevel& lv = st.hierarchy.levels[l];
   const Graph& a = lv.graph;
   const auto n = static_cast<std::size_t>(a.num_vertices());
-  const auto& inv_diag = st.inv_diag[static_cast<std::size_t>(level)];
-  const auto& assignment = lv.decomposition.assignment;
   const auto m = static_cast<std::size_t>(lv.decomposition.num_clusters);
+  const double* inv_diag = st.inv_diag[l].data();
+  const vidx* assignment = lv.decomposition.assignment.data();
+  Workspace::Level& scratch = ws.levels_[l];
+  const std::span<double> work(scratch.work.data(), n * W);
+  const std::span<double> rc(scratch.coarse_r.data(), m * W);
+  const std::span<double> zc(scratch.coarse_z.data(), m * W);
+  const double omega = st.options.jacobi_weight;
+  // fn(i, i / W) for every slot i = v*W + j, as one flat loop (which the
+  // compiler vectorises far better than a vertex-by-lane nest).
+  auto each_slot = [n](auto&& fn) {
+    parallel_for(n * W, [&](std::size_t i) { fn(i, i / W); });
+  };
 
-  std::vector<double> work(n);
-  std::vector<double> residual(n);
-
-  const ChebyshevSmoother* cheb =
-      st.chebyshev[static_cast<std::size_t>(level)].get();
-  auto smooth_pass = [&](std::span<double> iterate) {
+  const ChebyshevSmoother* cheb = st.chebyshev[l].get();
+  auto smooth_pass = [&](bool from_zero) {
     for (int s = 0; s < st.options.smoothing_steps; ++s) {
       if (cheb != nullptr) {
-        cheb->smooth(r, iterate);
+        cheb->smooth<W>(r, z);
+      } else if (from_zero && s == 0) {
+        // A*0 is +0.0 in every slot, so the first pre-smoothing sweep
+        // skips its SpMV: this is the update below, bit for bit, with
+        // z = 0.0 and work = 0.0 written as literals.
+        each_slot([&](std::size_t i, std::size_t v) {
+          z[i] = 0.0 + omega * inv_diag[v] * (r[i] - 0.0);
+        });
       } else {
-        a.laplacian_apply(iterate, work);
-        parallel_for(n, [&](std::size_t i) {
-          iterate[i] +=
-              st.options.jacobi_weight * inv_diag[i] * (r[i] - work[i]);
+        a.laplacian_apply<W>(z, work);
+        each_slot([&](std::size_t i, std::size_t v) {
+          z[i] += omega * inv_diag[v] * (r[i] - work[i]);
         });
       }
     }
   };
 
-  // Pre-smoothing from z = 0.
-  la::fill(z, 0.0);
-  smooth_pass(z);
-  // Coarse correction on the residual. The restriction is parallel over
-  // clusters (owner-computes; see ClusterIndex).
-  a.laplacian_apply(z, work);
-  parallel_for(n, [&](std::size_t i) { residual[i] = r[i] - work[i]; });
-  std::vector<double> rc(m, 0.0);
-  st.restriction[static_cast<std::size_t>(level)].restrict_sum(residual, rc);
-  std::vector<double> zc(m, 0.0);
-  cycle(level + 1, rc, zc);
-  parallel_for(n, [&](std::size_t v) {
-    z[v] += zc[static_cast<std::size_t>(assignment[v])];
+  // Pre-smoothing from z = 0 (the Jacobi sweep writes every slot itself).
+  if (cheb != nullptr || st.options.smoothing_steps < 1) la::fill(z, 0.0);
+  smooth_pass(/*from_zero=*/true);
+  // Coarse correction on the residual r - A z. Each row of it is formed
+  // inside the restriction, parallel over clusters (owner-computes; see
+  // ClusterIndex) -- the same values, summed in the same order, as storing
+  // the residual first.
+  st.restriction[l].restrict_rows<W>(
+      [&](std::size_t v, double* acc) {
+        double az[W];
+        a.laplacian_row<W>(v, z.data(), az);
+        for (std::size_t j = 0; j < W; ++j) acc[j] += r[v * W + j] - az[j];
+      },
+      rc);
+  cycle<W>(level + 1, rc, zc, ws);
+  each_slot([&](std::size_t i, std::size_t v) {
+    z[i] += zc[static_cast<std::size_t>(assignment[v]) * W + i % W];
   });
   // Post-smoothing (symmetric to the pre-smoothing).
-  smooth_pass(z);
+  smooth_pass(/*from_zero=*/false);
 }
 
-void MultilevelSteinerSolver::cycle_block(int level,
-                                          std::span<const double> r,
-                                          std::span<double> z, int k) const {
-  State& st = *state_;
-  LevelCycleStats& attribution =
-      st.cycle_stats[static_cast<std::size_t>(level)];
-  const Timer level_timer;
-  struct Accumulate {
-    const Timer& timer;
-    LevelCycleStats& stats;
-    ~Accumulate() {
-      ++stats.calls;
-      stats.seconds += timer.seconds();
-    }
-  } accumulate{level_timer, attribution};
-
-  const auto uk = static_cast<std::size_t>(k);
-  if (level == st.hierarchy.num_levels()) {
-    const std::size_t nc = r.size() / uk;
-    for (std::size_t j = 0; j < uk; ++j) {
-      if (st.coarsest_solver != nullptr) {
-        st.coarsest_solver->apply(r.subspan(j * nc, nc),
-                                  z.subspan(j * nc, nc));
-      } else {
-        la::fill(z.subspan(j * nc, nc), 0.0);
-      }
-    }
+template <std::size_t W>
+void MultilevelSteinerSolver::apply(std::span<const double> r,
+                                    std::span<double> z,
+                                    Workspace& ws) const {
+  HICOND_SPAN("multilevel.apply");
+  const State& st = *state_;
+  HICOND_CHECK(ws.owner_ == &st, "workspace built for another solver");
+  HICOND_CHECK(W <= ws.width_, "workspace narrower than the block");
+  const Graph& finest = st.hierarchy.num_levels() == 0
+                            ? st.hierarchy.coarsest
+                            : st.hierarchy.levels.front().graph;
+  const auto slots = static_cast<std::size_t>(finest.num_vertices()) * W;
+  HICOND_CHECK(r.size() == slots, "residual size mismatch");
+  HICOND_CHECK(z.size() == slots, "correction size mismatch");
+  if (st.hierarchy.num_levels() == 0) {
+    coarsest_solve<W>(r, z);
     return;
   }
-  const HierarchyLevel& lv =
-      st.hierarchy.levels[static_cast<std::size_t>(level)];
-  const Graph& a = lv.graph;
-  const auto n = static_cast<std::size_t>(a.num_vertices());
-  const auto& inv_diag = st.inv_diag[static_cast<std::size_t>(level)];
-  const auto& assignment = lv.decomposition.assignment;
-  const auto m = static_cast<std::size_t>(lv.decomposition.num_clusters);
-
-  std::vector<double> work(uk * n);
-  std::vector<double> residual(uk * n);
-
-  // Per column this is exactly cycle(): the blocked SpMV matches
-  // laplacian_apply bitwise per column, and every elementwise update below
-  // evaluates the same expression on the column's own slots.
-  const ChebyshevSmoother* cheb =
-      st.chebyshev[static_cast<std::size_t>(level)].get();
-  auto smooth_pass = [&](std::span<double> iterate) {
-    for (int s = 0; s < st.options.smoothing_steps; ++s) {
-      if (cheb != nullptr) {
-        for (std::size_t j = 0; j < uk; ++j) {
-          cheb->smooth(r.subspan(j * n, n), iterate.subspan(j * n, n));
-        }
-      } else {
-        a.laplacian_apply_block(iterate, work, k);
-        parallel_for(n, [&](std::size_t i) {
-          for (std::size_t j = 0; j < uk; ++j) {
-            iterate[j * n + i] += st.options.jacobi_weight * inv_diag[i] *
-                                  (r[j * n + i] - work[j * n + i]);
-          }
-        });
-      }
-    }
-  };
-
-  la::fill(z, 0.0);
-  smooth_pass(z);
-  a.laplacian_apply_block(z, work, k);
-  parallel_for(n, [&](std::size_t i) {
-    for (std::size_t j = 0; j < uk; ++j) {
-      residual[j * n + i] = r[j * n + i] - work[j * n + i];
-    }
-  });
-  std::vector<double> rc(uk * m, 0.0);
-  for (std::size_t j = 0; j < uk; ++j) {
-    st.restriction[static_cast<std::size_t>(level)].restrict_sum(
-        std::span<const double>(residual).subspan(j * n, n),
-        std::span(rc).subspan(j * m, m));
+  // First cycle from zero initial guess.
+  cycle<W>(0, r, z, ws);
+  // Additional cycles refine on the residual.
+  for (int c = 1; c < st.options.cycles; ++c) {
+    const std::span<double> work(ws.top_work_.data(), r.size());
+    const std::span<double> correction(ws.top_correction_.data(), r.size());
+    finest.laplacian_apply<W>(z, work);
+    parallel_for(work.size(), [&](std::size_t i) { work[i] = r[i] - work[i]; });
+    cycle<W>(0, work, correction, ws);
+    la::axpy(1.0, correction, z);
   }
-  std::vector<double> zc(uk * m, 0.0);
-  cycle_block(level + 1, rc, zc, k);
-  parallel_for(n, [&](std::size_t v) {
-    for (std::size_t j = 0; j < uk; ++j) {
-      z[j * n + v] += zc[j * m + static_cast<std::size_t>(
-                                     assignment[v])];
-    }
-  });
-  smooth_pass(z);
+  la::remove_mean<W>(z);
+}
+
+#define HICOND_INSTANTIATE(W)                                    \
+  template void MultilevelSteinerSolver::apply<W>(                \
+      std::span<const double>, std::span<double>, Workspace&) const;
+HICOND_FOR_EACH_LANE_WIDTH(HICOND_INSTANTIATE)
+#undef HICOND_INSTANTIATE
+
+void MultilevelSteinerSolver::apply(std::span<const double> r,
+                                    std::span<double> z) const {
+  Workspace ws(*this, 1);
+  apply<1>(r, z, ws);
 }
 
 void MultilevelSteinerSolver::apply_block(std::span<const double> r,
                                           std::span<double> z, int k) const {
-  HICOND_SPAN("multilevel.apply_block");
   HICOND_CHECK(k >= 1, "block width must be positive");
-  HICOND_CHECK(r.size() == z.size(), "block size mismatch");
   HICOND_CHECK(r.size() % static_cast<std::size_t>(k) == 0,
                "block size not a multiple of k");
-  const State& st = *state_;
-  const auto uk = static_cast<std::size_t>(k);
-  const std::size_t n = r.size() / uk;
-  if (st.hierarchy.num_levels() == 0) {
-    for (std::size_t j = 0; j < uk; ++j) {
-      if (st.coarsest_solver != nullptr) {
-        st.coarsest_solver->apply(r.subspan(j * n, n), z.subspan(j * n, n));
-      } else {
-        la::fill(z.subspan(j * n, n), 0.0);
-      }
-    }
-    return;
-  }
-  cycle_block(0, r, z, k);
-  const Graph& a = st.hierarchy.levels.front().graph;
-  std::vector<double> work(r.size());
-  std::vector<double> correction(r.size());
-  for (int c = 1; c < st.options.cycles; ++c) {
-    a.laplacian_apply_block(z, work, k);
-    parallel_for(work.size(), [&](std::size_t i) { work[i] = r[i] - work[i]; });
-    cycle_block(0, work, correction, k);
-    la::axpy(1.0, correction, z);
-  }
-  for (std::size_t j = 0; j < uk; ++j) la::remove_mean(z.subspan(j * n, n));
-}
-
-void MultilevelSteinerSolver::apply(std::span<const double> r,
-                                    std::span<double> z) const {
-  HICOND_SPAN("multilevel.apply");
-  const State& st = *state_;
-  if (st.hierarchy.num_levels() == 0) {
-    if (st.coarsest_solver != nullptr) {
-      st.coarsest_solver->apply(r, z);
-    } else {
-      la::fill(z, 0.0);
-    }
-    return;
-  }
-  // First cycle from zero initial guess.
-  cycle(0, r, z);
-  // Additional cycles refine on the residual.
-  const Graph& a = st.hierarchy.levels.front().graph;
-  std::vector<double> work(r.size());
-  std::vector<double> correction(r.size());
-  for (int c = 1; c < st.options.cycles; ++c) {
-    a.laplacian_apply(z, work);
-    parallel_for(work.size(), [&](std::size_t i) { work[i] = r[i] - work[i]; });
-    cycle(0, work, correction);
-    la::axpy(1.0, correction, z);
-  }
-  la::remove_mean(z);
+  Workspace ws(*this, std::min(kMaxLanes, static_cast<std::size_t>(k)));
+  apply_column_major(r, z, r.size() / static_cast<std::size_t>(k), k,
+                     [&](auto width, std::span<const double> in,
+                         std::span<double> out) {
+                       apply<decltype(width)::value>(in, out, ws);
+                     });
 }
 
 LinearOperator MultilevelSteinerSolver::as_operator() const {
   auto self = *this;  // shares state_
   return [self](std::span<const double> r, std::span<double> z) {
     self.apply(r, z);
-  };
-}
-
-BlockOperator MultilevelSteinerSolver::as_block_operator() const {
-  auto self = *this;  // shares state_
-  return [self](std::span<const double> r, std::span<double> z, int k) {
-    self.apply_block(r, z, k);
   };
 }
 

@@ -8,10 +8,12 @@
 // preconditioners" of Section 1.1 in solver form.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "hicond/la/cg.hpp"
-#include "hicond/la/cg_block.hpp"
 #include "hicond/la/chebyshev.hpp"
 #include "hicond/la/sparse_cholesky.hpp"
 #include "hicond/partition/cluster_index.hpp"
@@ -29,7 +31,10 @@ struct MultilevelOptions {
   int smoothing_steps = 1;     ///< pre- and post- smoother sweeps per level
   double jacobi_weight = 0.7;  ///< damped-Jacobi relaxation weight
   int chebyshev_degree = 3;    ///< matrix applications per Chebyshev sweep
-  int cycles = 1;              ///< V-cycles per application (2 = W-like)
+  /// V-cycles per application. Each extra cycle repeats the whole V-cycle
+  /// at the top level on the current residual; it is not a W-cycle (the
+  /// coarse levels are still visited once per cycle).
+  int cycles = 1;
 };
 
 /// Accumulated per-level V-cycle time attribution (see cycle_stats()).
@@ -41,6 +46,8 @@ struct LevelCycleStats {
 /// Symmetric multilevel cycle built on a LaminarHierarchy; the coarsest
 /// level is solved exactly with sparse LDL'.
 class MultilevelSteinerSolver {
+  struct State;
+
  public:
   [[nodiscard]] static MultilevelSteinerSolver build(
       LaminarHierarchy hierarchy, const MultilevelOptions& options = {});
@@ -59,20 +66,49 @@ class MultilevelSteinerSolver {
       LaminarHierarchy hierarchy, const MultilevelOptions& options,
       const MultilevelSteinerSolver& reuse);
 
+  /// Caller-owned scratch for apply<W> with W <= `width`: each level's
+  /// vectors and the extra-cycle buffers. Allocate one per solve; a shared
+  /// (cached) solver then holds no per-call scratch. Not for concurrent use,
+  /// and only for the solver it was built for (or a copy sharing its state).
+  class Workspace {
+   public:
+    Workspace(const MultilevelSteinerSolver& solver, std::size_t width);
+
+   private:
+    friend class MultilevelSteinerSolver;
+    const State* owner_;
+    struct Level {
+      std::vector<double> work;                ///< n*W: A z
+      std::vector<double> coarse_r, coarse_z;  ///< m*W: coarse r and z
+    };
+    std::size_t width_;
+    std::vector<Level> levels_;
+    std::vector<double> top_work_, top_correction_;  ///< cycles > 1 only
+  };
+
   /// z = M^{-1} r (one or more symmetric V-cycles starting from z = 0).
+  /// Allocates its own workspace; repeated callers should hold a Workspace.
   void apply(std::span<const double> r, std::span<double> z) const;
 
+  /// Z = M^{-1} R for W residuals stored vertex-interleaved (slot v*W + j
+  /// is residual j at vertex v; util/interleave.hpp). One hierarchy
+  /// traversal serves all W lanes, and lane j is bitwise identical to
+  /// apply() of residual j: every smoother, restriction and prolongation
+  /// step evaluates the W = 1 expression on the lane's own slots, and the
+  /// coarsest LDL' runs per lane. `ws` must be at least W wide and built for
+  /// this solver; r and z must hold n*W slots (n = finest vertex count).
+  /// Instantiated for W in {1, 2, 4, 8}.
+  template <std::size_t W = 1>
+  void apply(std::span<const double> r, std::span<double> z,
+             Workspace& ws) const;
+
   /// Z = M^{-1} R for k residuals stored column-major (column j occupies
-  /// [j*n, (j+1)*n)). One hierarchy traversal serves all k columns: each
-  /// level's graph, inverse diagonal and restriction index are walked once
-  /// per cycle instead of once per RHS, with the SpMVs blocked through
-  /// Graph::laplacian_apply_block. Column j is bitwise identical to
-  /// apply(r_j, z_j) -- the serving layer's batching contract.
+  /// [j*n, (j+1)*n)): a thin adapter onto apply<W> over width 8/4/2/1
+  /// chunks. Column j is bitwise identical to apply(r_j, z_j).
   void apply_block(std::span<const double> r, std::span<double> z,
                    int k) const;
 
   [[nodiscard]] LinearOperator as_operator() const;
-  [[nodiscard]] BlockOperator as_block_operator() const;
 
   [[nodiscard]] int num_levels() const noexcept {
     return static_cast<int>(state_->hierarchy.num_levels());
@@ -113,9 +149,11 @@ class MultilevelSteinerSolver {
       LaminarHierarchy hierarchy, const MultilevelOptions& options,
       const State* reuse);
 
-  void cycle(int level, std::span<const double> r, std::span<double> z) const;
-  void cycle_block(int level, std::span<const double> r, std::span<double> z,
-                   int k) const;
+  template <std::size_t W>
+  void cycle(int level, std::span<const double> r, std::span<double> z,
+             Workspace& ws) const;
+  template <std::size_t W>
+  void coarsest_solve(std::span<const double> r, std::span<double> z) const;
 
   std::shared_ptr<State> state_;
 };

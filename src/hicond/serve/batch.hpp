@@ -3,8 +3,8 @@
 // A serving process sees many right-hand sides against few operators; this
 // is exactly the reuse Theorem 3.5 licenses (the preconditioner depends on
 // the graph alone). BatchSolve packs k request vectors into the
-// column-major block layout, drives LaplacianSolver::solve_batch (blocked
-// SpMV + blocked V-cycle, la/cg_block.hpp), and reports per-RHS iteration
+// column-major block layout, drives LaplacianSolver::solve_batch (the
+// W-lane interleaved PCG/SpMV/V-cycle kernels), and reports per-RHS iteration
 // stats plus an FNV-1a hash of each solution's bit pattern -- the cheap
 // wire-level fixture for the "batched equals sequential to the last bit"
 // guarantee that tests and the serve smoke session assert.

@@ -1,9 +1,9 @@
 #include "hicond/solver.hpp"
 
 #include "hicond/graph/connectivity.hpp"
-#include "hicond/la/cg_block.hpp"
 #include "hicond/la/vector_ops.hpp"
 #include "hicond/obs/trace.hpp"
+#include "hicond/util/interleave.hpp"
 #include "hicond/util/timer.hpp"
 
 namespace hicond {
@@ -48,24 +48,7 @@ LaplacianSolver::LaplacianSolver(Graph g, LaminarHierarchy hierarchy,
 SolveStats LaplacianSolver::solve(std::span<const double> b,
                                   std::span<double> x) const {
   HICOND_SPAN("solver.solve");
-  const Graph& g = *graph_;
-  HICOND_CHECK(b.size() == static_cast<std::size_t>(g.num_vertices()),
-               "rhs size mismatch");
-  HICOND_CHECK(x.size() == b.size(), "x size mismatch");
-  auto a = [&g](std::span<const double> in, std::span<double> out) {
-    g.laplacian_apply(in, out);
-  };
-  const Timer solve_timer;
-  SolveStats stats =
-      flexible_pcg_solve(a, solver_->as_operator(), b, x,
-                         {.max_iterations = options_.max_iterations,
-                          .rel_tolerance = options_.rel_tolerance,
-                          .record_history = true,
-                          .project_constant = true});
-  solve_seconds_total_ += solve_timer.seconds();
-  ++num_solves_;
-  last_stats_ = stats;
-  return stats;
+  return std::move(solve_batch(b, x, 1).front());
 }
 
 std::vector<SolveStats> LaplacianSolver::solve_batch(std::span<const double> b,
@@ -73,21 +56,44 @@ std::vector<SolveStats> LaplacianSolver::solve_batch(std::span<const double> b,
                                                      int k) const {
   HICOND_SPAN("solver.solve_batch");
   const Graph& g = *graph_;
+  const MultilevelSteinerSolver& ml = *solver_;
+  const auto n = static_cast<std::size_t>(g.num_vertices());
   HICOND_CHECK(k >= 1, "batched solve needs at least one right-hand side");
-  HICOND_CHECK(b.size() == static_cast<std::size_t>(g.num_vertices()) *
-                               static_cast<std::size_t>(k),
+  HICOND_CHECK(b.size() == n * static_cast<std::size_t>(k),
                "rhs block size mismatch");
   HICOND_CHECK(x.size() == b.size(), "x block size mismatch");
-  auto a = [&g](std::span<const double> in, std::span<double> out, int kk) {
-    g.laplacian_apply_block(in, out, kk);
-  };
+  const CgOptions cg_options{.max_iterations = options_.max_iterations,
+                             .rel_tolerance = options_.rel_tolerance,
+                             .record_history = true,
+                             .project_constant = true};
   const Timer solve_timer;
-  std::vector<SolveStats> stats = batched_flexible_pcg_solve(
-      a, solver_->as_block_operator(), b, x, k,
-      {.max_iterations = options_.max_iterations,
-       .rel_tolerance = options_.rel_tolerance,
-       .record_history = true,
-       .project_constant = true});
+  std::vector<SolveStats> stats(static_cast<std::size_t>(k));
+  const std::size_t widest = std::min(kMaxLanes, static_cast<std::size_t>(k));
+  MultilevelSteinerSolver::Workspace ws(ml, widest);
+  std::vector<double> b_lanes(n * widest);
+  std::vector<double> x_lanes(n * widest);
+  // Every chunk runs the one solve path -- flexible PCG with the V-cycle
+  // preconditioner -- at its lane width; solve() is the k = 1 case.
+  for_each_lane_chunk(k, [&](auto width, int j0) {
+    constexpr std::size_t W = decltype(width)::value;
+    const std::span<double> bl(b_lanes.data(), n * W);
+    const std::span<double> xl(x_lanes.data(), n * W);
+    interleave<W>(b, n, j0, bl);
+    interleave<W>(x, n, j0, xl);
+    const LinearOperator a = [&g](std::span<const double> in,
+                                  std::span<double> out) {
+      g.laplacian_apply<W>(in, out);
+    };
+    const LinearOperator m_inv = [&ml, &ws](std::span<const double> in,
+                                            std::span<double> out) {
+      ml.apply<W>(in, out, ws);
+    };
+    std::array<SolveStats, W> chunk =
+        pcg_interleaved<W>(a, &m_inv, bl, xl, cg_options, /*flexible=*/true);
+    deinterleave<W>(xl, n, j0, x);
+    std::move(chunk.begin(), chunk.end(),
+              stats.begin() + static_cast<std::ptrdiff_t>(j0));
+  });
   solve_seconds_total_ += solve_timer.seconds();
   num_solves_ += k;
   last_stats_ = stats.back();

@@ -55,10 +55,12 @@ class LaplacianSolver {
 
   /// Batched solve: k right-hand sides stored column-major in `b` (column j
   /// occupies [j*n, (j+1)*n)), solutions written the same way into `x`
-  /// (which also provides the initial guesses). The SpMV and the V-cycle
-  /// are blocked across the columns, so one hierarchy traversal serves all
-  /// k systems; column j is bitwise identical to solve(b_j, x_j). Returns
-  /// one SolveStats per column.
+  /// (which also provides the initial guesses). The columns are transposed
+  /// once into vertex-interleaved chunks of width 8/4/2/1 and each chunk
+  /// runs the same W-templated PCG, SpMV and V-cycle kernels solve() runs at
+  /// W = 1, so one hierarchy traversal serves a whole chunk; column j is
+  /// bitwise identical to solve(b_j, x_j). Returns one SolveStats per
+  /// column.
   std::vector<SolveStats> solve_batch(std::span<const double> b,
                                       std::span<double> x, int k) const;
 

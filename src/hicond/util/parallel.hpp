@@ -21,6 +21,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <memory>
 #include <omp.h>
@@ -100,6 +101,39 @@ void parallel_for_interleaved(std::size_t n, Fn&& fn) {
 /// every machine.
 inline constexpr std::size_t kReductionBlock = 2048;
 
+/// W independent fixed-block sum reductions in one pass: lane j is the sum
+/// of fn(i, j) over [0, n). Every lane gets exactly the combine tree
+/// parallel_sum uses (same blocks, same block-order combine), so lane j is
+/// bitwise identical to parallel_sum(n, [&](i) { return fn(i, j); }) --
+/// which is how the vertex-interleaved multi-RHS kernels keep each column
+/// identical to a single-vector solve while reading the block once.
+template <std::size_t W, typename Fn>
+std::array<double, W> parallel_sum_lanes(std::size_t n, Fn&& fn) {
+  std::array<double, W> total{};
+  if (n == 0) return total;
+  auto sum_range = [&](std::size_t lo, std::size_t hi) {
+    std::array<double, W> local{};
+    for (std::size_t i = lo; i < hi; ++i) {
+      for (std::size_t j = 0; j < W; ++j) local[j] += fn(i, j);
+    }
+    return local;
+  };
+  const std::size_t blocks = (n + kReductionBlock - 1) / kReductionBlock;
+  if (blocks == 1) return sum_range(0, n);
+  std::vector<std::array<double, W>> partial(blocks);
+  parallel_region([&] {
+#pragma omp for schedule(static) nowait
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const std::size_t lo = b * kReductionBlock;
+      partial[b] = sum_range(lo, std::min(n, lo + kReductionBlock));
+    }
+  });
+  for (const auto& p : partial) {
+    for (std::size_t j = 0; j < W; ++j) total[j] += p[j];
+  }
+  return total;
+}
+
 /// Parallel sum-reduction of fn(i) over [0, n).
 ///
 /// The range is split into fixed blocks of kReductionBlock iterations; each
@@ -111,27 +145,8 @@ inline constexpr std::size_t kReductionBlock = 2048;
 /// hide the combine from ThreadSanitizer; see util/tsan.hpp.)
 template <typename Fn>
 double parallel_sum(std::size_t n, Fn&& fn) {
-  if (n == 0) return 0.0;
-  const std::size_t blocks = (n + kReductionBlock - 1) / kReductionBlock;
-  if (blocks == 1) {
-    double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) total += fn(i);
-    return total;
-  }
-  std::vector<double> partial(blocks, 0.0);
-  parallel_region([&] {
-#pragma omp for schedule(static) nowait
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const std::size_t lo = b * kReductionBlock;
-      const std::size_t hi = std::min(n, lo + kReductionBlock);
-      double local = 0.0;
-      for (std::size_t i = lo; i < hi; ++i) local += fn(i);
-      partial[b] = local;
-    }
-  });
-  double total = 0.0;
-  for (const double p : partial) total += p;
-  return total;
+  return parallel_sum_lanes<1>(
+      n, [&](std::size_t i, std::size_t) { return fn(i); })[0];
 }
 
 /// Parallel existence test: true when fn(i) holds for any i in [0, n).

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <span>
+
 #include "hicond/graph/generators.hpp"
 #include "hicond/la/vector_ops.hpp"
 #include "hicond/util/rng.hpp"
@@ -15,6 +19,12 @@ std::vector<double> mean_free_rhs(vidx n, std::uint64_t seed) {
   for (auto& v : b) v = rng.uniform(-1.0, 1.0);
   la::remove_mean(b);
   return b;
+}
+
+/// Bit-pattern equality (== would let -0.0 match +0.0).
+bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 TEST(Multilevel, BuildsOnHierarchy) {
@@ -127,6 +137,88 @@ TEST(Multilevel, TrivialHierarchyFallsBackToDirect) {
   std::vector<double> check(6);
   g.laplacian_apply(x, check);
   for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(check[i], b[i], 1e-9);
+}
+
+// The column-major block entry points are adapters onto the W-lane
+// kernels. Every k below exercises a different chunking (8/4/2/1 widths,
+// with split tails at 11 and 15); each column must equal the single-vector call
+// bit for bit, for both smoothers, repeated cycles and a flat hierarchy.
+TEST(Multilevel, BlockAppliesMatchPerColumnBitwise) {
+  // 50x50 = 2500 vertices: the per-lane reductions span two blocks.
+  const Graph grid =
+      gen::grid2d(50, 50, gen::WeightSpec::uniform(1.0, 2.0), 4);
+  const Graph path = gen::path(6, gen::WeightSpec::uniform(1.0, 2.0), 2);
+  const MultilevelOptions variants[] = {
+      {},
+      {.smoother = SmootherKind::chebyshev},
+      {.cycles = 2},
+      {.smoothing_steps = 2},
+  };
+  for (const Graph* g : {&grid, &path}) {
+    const auto n = static_cast<std::size_t>(g->num_vertices());
+    for (const MultilevelOptions& options : variants) {
+      const MultilevelSteinerSolver s = MultilevelSteinerSolver::build(
+          build_hierarchy(*g, {.coarsest_size = 32}), options);
+      for (const int k : {1, 3, 5, 8, 11, 15}) {
+        const auto uk = static_cast<std::size_t>(k);
+        std::vector<double> r(n * uk);
+        for (std::size_t j = 0; j < uk; ++j) {
+          const auto col = mean_free_rhs(g->num_vertices(), 20 + j);
+          std::copy(col.begin(), col.end(), r.begin() + j * n);
+        }
+        std::vector<double> z(n * uk);
+        std::vector<double> y(n * uk);
+        s.apply_block(r, z, k);
+        g->laplacian_apply_block(r, y, k);
+        for (std::size_t j = 0; j < uk; ++j) {
+          const std::span<const double> rj(r.data() + j * n, n);
+          std::vector<double> zj(n);
+          std::vector<double> yj(n);
+          s.apply(rj, zj);
+          g->laplacian_apply(rj, yj);
+          EXPECT_TRUE(bitwise_equal(zj, std::span(z).subspan(j * n, n)))
+              << "apply_block n=" << n << " k=" << k << " column " << j;
+          EXPECT_TRUE(bitwise_equal(yj, std::span(y).subspan(j * n, n)))
+              << "laplacian_apply_block n=" << n << " k=" << k
+              << " column " << j;
+        }
+      }
+    }
+  }
+}
+
+// Size errors must throw before anything is written, at every level count:
+// the kernels index their inputs without further checks.
+TEST(Multilevel, RejectsMissizedInputsAndForeignWorkspace) {
+  const Graph grid = gen::grid2d(20, 20, gen::WeightSpec::uniform(1.0, 2.0), 4);
+  const Graph path = gen::path(6, gen::WeightSpec::uniform(1.0, 2.0), 2);
+  for (const Graph* g : {&grid, &path}) {
+    const auto n = static_cast<std::size_t>(g->num_vertices());
+    const MultilevelSteinerSolver s =
+        MultilevelSteinerSolver::build(build_hierarchy(*g, {.coarsest_size = 10}));
+    std::vector<double> short_r(n - 1, 1.0);
+    std::vector<double> long_z(n + 1, 0.0);
+    std::vector<double> r(n, 1.0);
+    std::vector<double> z(n, 0.0);
+    EXPECT_THROW(s.apply(short_r, long_z), invalid_argument_error);
+    EXPECT_THROW(s.apply(r, long_z), invalid_argument_error);
+    EXPECT_THROW(s.apply(short_r, short_r), invalid_argument_error);
+    // k = 4 blocks of n + 1: a whole number of columns, each mis-sized.
+    std::vector<double> rb(4 * (n + 1), 1.0);
+    std::vector<double> zb(rb.size(), 0.0);
+    EXPECT_THROW(s.apply_block(rb, zb, 4), invalid_argument_error);
+    EXPECT_TRUE(std::all_of(zb.begin(), zb.end(),
+                            [](double v) { return v == 0.0; }));
+
+    const MultilevelSteinerSolver other =
+        MultilevelSteinerSolver::build(build_hierarchy(*g, {.coarsest_size = 10}));
+    MultilevelSteinerSolver::Workspace foreign(other, 1);
+    EXPECT_THROW(s.apply<1>(r, z, foreign), invalid_argument_error);
+    MultilevelSteinerSolver::Workspace narrow(s, 1);
+    std::vector<double> r2(2 * n, 1.0);
+    std::vector<double> z2(2 * n, 0.0);
+    EXPECT_THROW(s.apply<2>(r2, z2, narrow), invalid_argument_error);
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <omp.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -200,51 +201,101 @@ TEST(ServeCache, PerEntryStatsTrackHitsAndRecency) {
 
 // --- batched solves: bitwise equal to sequential, per thread count --------
 
-TEST(ServeBatch, BatchedMatchesSequentialBitwiseAcrossThreadCounts) {
-  const Graph g = test_graph();
-  const vidx n = g.num_vertices();
-  constexpr int kRhs = 5;
+// Batch sizes covering every lane width the dispatcher picks: 1 (W=1),
+// 3 (2+1), 5 (4+1), 8 (W=8), 11 (8+2+1, a split tail) and 15 (8+4+2+1).
+constexpr int kBatchSizes[] = {1, 3, 5, 8, 11, 15};
 
+/// Solve `rhs` as one batch and column by column; every column must agree
+/// bit for bit (solution, iterations, residual history). Returns the
+/// batch's solution hashes for cross-thread comparison.
+std::vector<std::uint64_t> expect_batch_matches_sequential(
+    const LaplacianSolver& solver,
+    const std::vector<std::vector<double>>& rhs) {
+  const serve::BatchSolveResult batch = serve::batch_solve(solver, rhs);
+  EXPECT_EQ(batch.x.size(), rhs.size());
+  for (std::size_t j = 0; j < rhs.size() && j < batch.x.size(); ++j) {
+    std::vector<double> x(rhs[j].size(), 0.0);
+    const SolveStats seq = solver.solve(rhs[j], x);
+    EXPECT_TRUE(batch.stats[j].converged) << "rhs " << j;
+    EXPECT_EQ(batch.stats[j].iterations, seq.iterations) << "rhs " << j;
+    EXPECT_EQ(batch.x[j], x) << "rhs " << j << " of " << rhs.size();
+    EXPECT_EQ(batch.solution_hash[j], serve::solution_fingerprint(x))
+        << "rhs " << j << " of " << rhs.size() << " not bitwise";
+    EXPECT_EQ(batch.stats[j].residual_history, seq.residual_history)
+        << "rhs " << j;
+  }
+  return batch.solution_hash;
+}
+
+std::vector<std::vector<double>> batch_rhs(vidx n, int k) {
   std::vector<std::vector<double>> rhs;
-  rhs.reserve(kRhs);
-  for (int j = 0; j < kRhs; ++j) {
+  rhs.reserve(static_cast<std::size_t>(k));
+  for (int j = 0; j < k; ++j) {
     rhs.push_back(mean_free_rhs(n, 100 + static_cast<std::uint64_t>(j)));
   }
+  return rhs;
+}
 
-  std::vector<std::uint64_t> reference_hashes;
+TEST(ServeBatch, BatchedMatchesSequentialBitwiseAcrossThreadCounts) {
+  const Graph g = test_graph();
+  std::vector<std::vector<std::uint64_t>> reference_hashes;
   for (const int threads : kThreadMatrix) {
     with_thread_count(threads, [&] {
       const LaplacianSolver solver(g);
-      // Sequential baseline: k independent single-vector solves.
-      std::vector<std::vector<double>> x_seq;
-      std::vector<SolveStats> s_seq;
-      for (int j = 0; j < kRhs; ++j) {
-        std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-        s_seq.push_back(solver.solve(rhs[static_cast<std::size_t>(j)], x));
-        x_seq.push_back(std::move(x));
-      }
-      const serve::BatchSolveResult batch = serve::batch_solve(solver, rhs);
-      ASSERT_EQ(batch.x.size(), static_cast<std::size_t>(kRhs));
-      for (int j = 0; j < kRhs; ++j) {
-        const auto ju = static_cast<std::size_t>(j);
-        EXPECT_TRUE(batch.stats[ju].converged) << "rhs " << j;
-        EXPECT_EQ(batch.stats[ju].iterations, s_seq[ju].iterations)
-            << "rhs " << j;
-        EXPECT_EQ(batch.x[ju], x_seq[ju]) << "rhs " << j << " not bitwise";
-        EXPECT_EQ(batch.solution_hash[ju],
-                  serve::solution_fingerprint(x_seq[ju]));
-        EXPECT_EQ(batch.stats[ju].residual_history,
-                  s_seq[ju].residual_history)
-            << "rhs " << j;
-      }
-      if (reference_hashes.empty()) {
-        reference_hashes = batch.solution_hash;
-      } else {
-        // Thread-count invariance on top of batch/sequential equality.
-        EXPECT_EQ(batch.solution_hash, reference_hashes)
-            << "threads=" << threads;
+      for (std::size_t s = 0; s < std::size(kBatchSizes); ++s) {
+        const std::vector<std::uint64_t> hashes =
+            expect_batch_matches_sequential(
+                solver, batch_rhs(g.num_vertices(), kBatchSizes[s]));
+        if (reference_hashes.size() <= s) {
+          reference_hashes.push_back(hashes);
+        } else {
+          // Thread-count invariance on top of batch/sequential equality.
+          EXPECT_EQ(hashes, reference_hashes[s])
+              << "threads=" << threads << " k=" << kBatchSizes[s];
+        }
       }
     });
+  }
+}
+
+TEST(ServeBatch, ZeroColumnConvergesAtIterationZeroInsideBatch) {
+  // The zero column stops before the first iteration while its lane keeps
+  // riding through the block; its neighbours must not notice.
+  const Graph g = test_graph();
+  const LaplacianSolver solver(g);
+  for (const int k : {2, 5, 8, 11}) {
+    std::vector<std::vector<double>> rhs = batch_rhs(g.num_vertices(), k);
+    rhs[1].assign(rhs[1].size(), 0.0);
+    const serve::BatchSolveResult batch = serve::batch_solve(solver, rhs);
+    EXPECT_TRUE(batch.stats[1].converged) << "k=" << k;
+    EXPECT_EQ(batch.stats[1].iterations, 0) << "k=" << k;
+    EXPECT_EQ(batch.x[1], rhs[1]) << "k=" << k;  // still the zero guess
+    (void)expect_batch_matches_sequential(solver, rhs);
+  }
+}
+
+TEST(ServeBatch, SmootherAndCycleVariantsMatchSequentialAcrossThreadCounts) {
+  // 50x50 = 2500 vertices: the per-lane reductions span two blocks.
+  const Graph g = gen::grid2d(50, 50, gen::WeightSpec::uniform(0.5, 2.0), 5);
+  const LaplacianSolverOptions variants[] = {
+      {.multilevel = {.smoother = SmootherKind::chebyshev}},
+      {.multilevel = {.cycles = 2}},
+  };
+  for (const LaplacianSolverOptions& options : variants) {
+    std::vector<std::uint64_t> reference_hashes;
+    for (const int threads : kThreadMatrix) {
+      with_thread_count(threads, [&] {
+        const LaplacianSolver solver(g, options);
+        const std::vector<std::uint64_t> hashes =
+            expect_batch_matches_sequential(solver,
+                                            batch_rhs(g.num_vertices(), 15));
+        if (reference_hashes.empty()) {
+          reference_hashes = hashes;
+        } else {
+          EXPECT_EQ(hashes, reference_hashes) << "threads=" << threads;
+        }
+      });
+    }
   }
 }
 
@@ -316,10 +367,10 @@ TEST(ServeServer, BatchColumnsMatchSingleSolvesOverTheWire) {
                   .boolean);
   const auto batch = client.call(
       R"({"op":"batch_solve","graph":")" + fp +
-      R"(","rhs_random":{"count":3,"seed":7}})");
+      R"(","rhs_random":{"count":7,"seed":7}})");
   ASSERT_TRUE(batch.at("ok").boolean);
   const auto& hashes = batch.at("solution_fnv").array;
-  ASSERT_EQ(hashes.size(), 3u);
+  ASSERT_EQ(hashes.size(), 7u);  // lane widths 4+2+1
   // rhs_random seeds are seed+j; each single solve must land on the same
   // bits as the corresponding batched column.
   for (std::size_t j = 0; j < hashes.size(); ++j) {
