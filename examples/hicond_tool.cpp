@@ -63,7 +63,6 @@
 #include "hicond/partition/backends/backend.hpp"
 #include "hicond/partition/fixed_degree.hpp"
 #include "hicond/partition/hierarchy.hpp"
-#include "hicond/precond/multilevel.hpp"
 #include "hicond/precond/steiner.hpp"
 #include "hicond/precond/subgraph.hpp"
 #include "hicond/serve/snapshot.hpp"
@@ -256,20 +255,7 @@ int cmd_solve(int argc, char** argv) {
   SolveStats stats;
   partition::BackendOptions bo;
   bo.backend = g_flags.backend;
-  if (g_flags.report && kind == "multilevel") {
-    // LaplacianSolver owns the hierarchy bookkeeping the report needs.
-    const LaplacianSolver solver(
-        g, {.hierarchy = {.contraction = bo, .coarsest_size = 200}});
-    stats = solver.solve(b, x);
-    const obs::SolverReport report = solver.report();
-    if (g_flags.json) {
-      std::printf("%s\n", report.to_json().c_str());
-    } else {
-      std::printf("%s", report.to_text().c_str());
-    }
-    return stats.converged ? 0 : 1;
-  }
-  if (g_flags.report) {
+  if (g_flags.report && kind != "multilevel") {
     std::fprintf(stderr,
                  "note: --report is only available for the multilevel "
                  "preconditioner; solving without a report\n");
@@ -290,9 +276,21 @@ int cmd_solve(int argc, char** argv) {
     const SteinerPreconditioner sp = SteinerPreconditioner::build(g, d);
     stats = pcg_solve(a, sp.as_operator(), b, x, opt);
   } else if (kind == "multilevel") {
-    const MultilevelSteinerSolver ml = MultilevelSteinerSolver::build(
-        build_hierarchy(g, {.contraction = bo, .coarsest_size = 200}));
-    stats = flexible_pcg_solve(a, ml.as_operator(), b, x, opt);
+    // LaplacianSolver owns the hierarchy bookkeeping --report prints; the
+    // flag only chooses the output.
+    const LaplacianSolver solver(
+        g, {.hierarchy = {.contraction = bo, .coarsest_size = 200},
+            .max_iterations = opt.max_iterations});
+    stats = solver.solve(b, x);
+    if (g_flags.report) {
+      const obs::SolverReport report = solver.report();
+      if (g_flags.json) {
+        std::printf("%s\n", report.to_json().c_str());
+      } else {
+        std::printf("%s", report.to_text().c_str());
+      }
+      return stats.converged ? 0 : 1;
+    }
   } else if (kind == "subgraph") {
     SubgraphPrecondOptions so;
     so.target_subtrees = std::max<vidx>(2, n / 32);

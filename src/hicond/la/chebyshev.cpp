@@ -37,13 +37,13 @@ double estimate_jacobi_lambda_max(const Graph& g, int iterations) {
   return std::min(lambda * 1.05, 2.0);  // safety margin, capped at the bound
 }
 
-ChebyshevSmoother::ChebyshevSmoother(const Graph& g, int degree,
-                                     double band_fraction)
+ChebyshevSmoother::ChebyshevSmoother(const Graph& g, int degree)
     : g_(&g), degree_(degree) {
   HICOND_CHECK(degree >= 1, "Chebyshev degree must be >= 1");
-  HICOND_CHECK(band_fraction > 1.0, "band fraction must exceed 1");
+  // The smoothed band is [lambda_hi / 4, lambda_hi].
+  constexpr double kBandFraction = 4.0;
   lambda_hi_ = estimate_jacobi_lambda_max(g);
-  lambda_lo_ = lambda_hi_ / band_fraction;
+  lambda_lo_ = lambda_hi_ / kBandFraction;
   const auto n = static_cast<std::size_t>(g.num_vertices());
   inv_diag_.assign(n, 0.0);
   parallel_for(n, [&](std::size_t v) {

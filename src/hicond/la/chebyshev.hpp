@@ -19,10 +19,10 @@ namespace hicond {
 /// Laplacian D^{-1} A over the eigenvalue band [lambda_lo, lambda_hi].
 class ChebyshevSmoother {
  public:
-  /// `degree` matrix applications per smooth() call. The band defaults to
-  /// the upper part of the spectrum of D^{-1} A (which is contained in
-  /// [0, 2]): [hi/alpha, hi] with hi estimated by a few power iterations.
-  ChebyshevSmoother(const Graph& g, int degree = 3, double band_fraction = 4.0);
+  /// `degree` matrix applications per smooth() call. The band is the upper
+  /// part of the spectrum of D^{-1} A (which is contained in [0, 2]):
+  /// [hi/4, hi] with hi estimated by a few power iterations.
+  ChebyshevSmoother(const Graph& g, int degree = 3);
 
   /// One smoothing pass: improves z as an approximate solution of A z = r,
   /// starting from the current z (use z = 0 for a first sweep). W > 1
@@ -33,8 +33,6 @@ class ChebyshevSmoother {
   void smooth(std::span<const double> r, std::span<double> z) const;
 
   [[nodiscard]] int degree() const noexcept { return degree_; }
-  [[nodiscard]] double lambda_hi() const noexcept { return lambda_hi_; }
-  [[nodiscard]] double lambda_lo() const noexcept { return lambda_lo_; }
 
  private:
   const Graph* g_;

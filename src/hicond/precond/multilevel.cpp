@@ -10,6 +10,11 @@
 #include "hicond/util/timer.hpp"
 
 namespace hicond {
+namespace {
+
+constexpr double kJacobiWeight = 0.7;  ///< damped-Jacobi relaxation weight
+
+}  // namespace
 
 MultilevelSteinerSolver MultilevelSteinerSolver::build(
     LaminarHierarchy hierarchy, const MultilevelOptions& options) {
@@ -32,7 +37,6 @@ MultilevelSteinerSolver MultilevelSteinerSolver::build_impl(
   MultilevelSteinerSolver s;
   s.state_ = std::make_shared<State>();
   s.state_->hierarchy = std::move(hierarchy);
-  s.state_->options = options;
   for (const auto& level : s.state_->hierarchy.levels) {
     std::vector<double> inv(static_cast<std::size_t>(level.graph.num_vertices()));
     parallel_for(inv.size(), [&](std::size_t v) {
@@ -85,10 +89,6 @@ MultilevelSteinerSolver::Workspace::Workspace(
     w.work.resize(n);
     w.coarse_r.resize(m);
     w.coarse_z.resize(m);
-  }
-  if (st.options.cycles > 1 && !levels_.empty()) {
-    top_work_.resize(levels_.front().work.size());
-    top_correction_.resize(levels_.front().work.size());
   }
 }
 
@@ -145,7 +145,6 @@ void MultilevelSteinerSolver::cycle(int level, std::span<const double> r,
   const std::span<double> work(scratch.work.data(), n * W);
   const std::span<double> rc(scratch.coarse_r.data(), m * W);
   const std::span<double> zc(scratch.coarse_z.data(), m * W);
-  const double omega = st.options.jacobi_weight;
   // fn(i, i / W) for every slot i = v*W + j, as one flat loop (which the
   // compiler vectorises far better than a vertex-by-lane nest).
   auto each_slot = [n](auto&& fn) {
@@ -153,29 +152,19 @@ void MultilevelSteinerSolver::cycle(int level, std::span<const double> r,
   };
 
   const ChebyshevSmoother* cheb = st.chebyshev[l].get();
-  auto smooth_pass = [&](bool from_zero) {
-    for (int s = 0; s < st.options.smoothing_steps; ++s) {
-      if (cheb != nullptr) {
-        cheb->smooth<W>(r, z);
-      } else if (from_zero && s == 0) {
-        // A*0 is +0.0 in every slot, so the first pre-smoothing sweep
-        // skips its SpMV: this is the update below, bit for bit, with
-        // z = 0.0 and work = 0.0 written as literals.
-        each_slot([&](std::size_t i, std::size_t v) {
-          z[i] = 0.0 + omega * inv_diag[v] * (r[i] - 0.0);
-        });
-      } else {
-        a.laplacian_apply<W>(z, work);
-        each_slot([&](std::size_t i, std::size_t v) {
-          z[i] += omega * inv_diag[v] * (r[i] - work[i]);
-        });
-      }
-    }
-  };
 
-  // Pre-smoothing from z = 0 (the Jacobi sweep writes every slot itself).
-  if (cheb != nullptr || st.options.smoothing_steps < 1) la::fill(z, 0.0);
-  smooth_pass(/*from_zero=*/true);
+  // Pre-smoothing sweep from z = 0.
+  if (cheb != nullptr) {
+    la::fill(z, 0.0);
+    cheb->smooth<W>(r, z);
+  } else {
+    // A*0 is +0.0 in every slot, so the Jacobi pre-sweep skips its SpMV:
+    // this is the post-sweep update below, bit for bit, with z = 0.0 and
+    // work = 0.0 written as literals.
+    each_slot([&](std::size_t i, std::size_t v) {
+      z[i] = 0.0 + kJacobiWeight * inv_diag[v] * (r[i] - 0.0);
+    });
+  }
   // Coarse correction on the residual r - A z. Each row of it is formed
   // inside the restriction, parallel over clusters (owner-computes; see
   // ClusterIndex) -- the same values, summed in the same order, as storing
@@ -191,8 +180,15 @@ void MultilevelSteinerSolver::cycle(int level, std::span<const double> r,
   each_slot([&](std::size_t i, std::size_t v) {
     z[i] += zc[static_cast<std::size_t>(assignment[v]) * W + i % W];
   });
-  // Post-smoothing (symmetric to the pre-smoothing).
-  smooth_pass(/*from_zero=*/false);
+  // Post-smoothing sweep (symmetric to the pre-smoothing).
+  if (cheb != nullptr) {
+    cheb->smooth<W>(r, z);
+  } else {
+    a.laplacian_apply<W>(z, work);
+    each_slot([&](std::size_t i, std::size_t v) {
+      z[i] += kJacobiWeight * inv_diag[v] * (r[i] - work[i]);
+    });
+  }
 }
 
 template <std::size_t W>
@@ -213,17 +209,7 @@ void MultilevelSteinerSolver::apply(std::span<const double> r,
     coarsest_solve<W>(r, z);
     return;
   }
-  // First cycle from zero initial guess.
   cycle<W>(0, r, z, ws);
-  // Additional cycles refine on the residual.
-  for (int c = 1; c < st.options.cycles; ++c) {
-    const std::span<double> work(ws.top_work_.data(), r.size());
-    const std::span<double> correction(ws.top_correction_.data(), r.size());
-    finest.laplacian_apply<W>(z, work);
-    parallel_for(work.size(), [&](std::size_t i) { work[i] = r[i] - work[i]; });
-    cycle<W>(0, work, correction, ws);
-    la::axpy(1.0, correction, z);
-  }
   la::remove_mean<W>(z);
 }
 

@@ -26,15 +26,11 @@ enum class SmootherKind {
   chebyshev,  ///< Chebyshev semi-iteration over the upper band of D^-1 A
 };
 
+/// Each application is one V-cycle with one pre- and one post-smoothing
+/// sweep per level; a Jacobi sweep is damped with weight 0.7.
 struct MultilevelOptions {
   SmootherKind smoother = SmootherKind::jacobi;
-  int smoothing_steps = 1;     ///< pre- and post- smoother sweeps per level
-  double jacobi_weight = 0.7;  ///< damped-Jacobi relaxation weight
-  int chebyshev_degree = 3;    ///< matrix applications per Chebyshev sweep
-  /// V-cycles per application. Each extra cycle repeats the whole V-cycle
-  /// at the top level on the current residual; it is not a W-cycle (the
-  /// coarse levels are still visited once per cycle).
-  int cycles = 1;
+  int chebyshev_degree = 3;  ///< matrix applications per Chebyshev sweep
 };
 
 /// Accumulated per-level V-cycle time attribution (see cycle_stats()).
@@ -67,7 +63,7 @@ class MultilevelSteinerSolver {
       const MultilevelSteinerSolver& reuse);
 
   /// Caller-owned scratch for apply<W> with W <= `width`: each level's
-  /// vectors and the extra-cycle buffers. Allocate one per solve; a shared
+  /// vectors. Allocate one per solve; a shared
   /// (cached) solver then holds no per-call scratch. Not for concurrent use,
   /// and only for the solver it was built for (or a copy sharing its state).
   class Workspace {
@@ -83,10 +79,9 @@ class MultilevelSteinerSolver {
     };
     std::size_t width_;
     std::vector<Level> levels_;
-    std::vector<double> top_work_, top_correction_;  ///< cycles > 1 only
   };
 
-  /// z = M^{-1} r (one or more symmetric V-cycles starting from z = 0).
+  /// z = M^{-1} r (one symmetric V-cycle starting from z = 0).
   /// Allocates its own workspace; repeated callers should hold a Workspace.
   void apply(std::span<const double> r, std::span<double> z) const;
 
@@ -133,7 +128,6 @@ class MultilevelSteinerSolver {
  private:
   struct State {
     LaminarHierarchy hierarchy;
-    MultilevelOptions options;
     std::vector<std::vector<double>> inv_diag;  ///< per level
     /// Per-level cluster-major index driving the parallel restriction.
     std::vector<ClusterIndex> restriction;

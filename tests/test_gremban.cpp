@@ -1,4 +1,4 @@
-#include "hicond/precond/gremban.hpp"
+#include "gremban.hpp"
 
 #include <gtest/gtest.h>
 

@@ -104,28 +104,6 @@ TEST(Multilevel, SolvesOctVolumeSystem) {
   EXPECT_LT(err, 1e-5);
 }
 
-TEST(Multilevel, TwoCyclesNotWorseThanOne) {
-  const Graph g = gen::grid2d(14, 14, gen::WeightSpec::uniform(1.0, 2.0), 11);
-  auto a = [&g](std::span<const double> x, std::span<double> y) {
-    g.laplacian_apply(x, y);
-  };
-  const auto b = mean_free_rhs(196, 7);
-  int iters[2];
-  int idx = 0;
-  for (int cycles : {1, 2}) {
-    const MultilevelSteinerSolver s = MultilevelSteinerSolver::build(
-        build_hierarchy(g, {.coarsest_size = 25}), {.cycles = cycles});
-    std::vector<double> x(196, 0.0);
-    const auto stats = flexible_pcg_solve(
-        a, s.as_operator(), b, x,
-        {.max_iterations = 500, .rel_tolerance = 1e-8,
-         .project_constant = true});
-    EXPECT_TRUE(stats.converged);
-    iters[idx++] = stats.iterations;
-  }
-  EXPECT_LE(iters[1], iters[0] + 1);
-}
-
 TEST(Multilevel, TrivialHierarchyFallsBackToDirect) {
   const Graph g = gen::path(6, gen::WeightSpec::uniform(1.0, 2.0), 2);
   const MultilevelSteinerSolver s =
@@ -142,7 +120,7 @@ TEST(Multilevel, TrivialHierarchyFallsBackToDirect) {
 // The column-major block entry points are adapters onto the W-lane
 // kernels. Every k below exercises a different chunking (8/4/2/1 widths,
 // with split tails at 11 and 15); each column must equal the single-vector call
-// bit for bit, for both smoothers, repeated cycles and a flat hierarchy.
+// bit for bit, for both smoothers and a flat hierarchy.
 TEST(Multilevel, BlockAppliesMatchPerColumnBitwise) {
   // 50x50 = 2500 vertices: the per-lane reductions span two blocks.
   const Graph grid =
@@ -151,8 +129,6 @@ TEST(Multilevel, BlockAppliesMatchPerColumnBitwise) {
   const MultilevelOptions variants[] = {
       {},
       {.smoother = SmootherKind::chebyshev},
-      {.cycles = 2},
-      {.smoothing_steps = 2},
   };
   for (const Graph* g : {&grid, &path}) {
     const auto n = static_cast<std::size_t>(g->num_vertices());

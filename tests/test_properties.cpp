@@ -15,11 +15,9 @@
 #include "hicond/la/vector_ops.hpp"
 #include "hicond/partition/fixed_degree.hpp"
 #include "hicond/partition/hierarchy.hpp"
-#include "hicond/precond/embedding.hpp"
 #include "hicond/precond/schur.hpp"
 #include "hicond/precond/steiner.hpp"
 #include "hicond/precond/support.hpp"
-#include "hicond/tree/mst.hpp"
 #include "hicond/util/rng.hpp"
 
 namespace hicond {
@@ -104,13 +102,6 @@ TEST_P(SeedSweep, SteinerSupportsWithinDilationThree) {
     phi = std::min(phi, conductance_bounds(c.graph).lower);
   }
   EXPECT_LE(eig.values.back(), steiner_support_bound_phi_rho(phi) + 1e-6);
-}
-
-TEST_P(SeedSweep, EmbeddingBoundDominatesExactTreeSupport) {
-  const Graph g = random_connected_graph(GetParam(), 25);
-  const Graph t = max_spanning_forest_kruskal(g);
-  EXPECT_GE(tree_embedding_bound(g, t).support_bound + 1e-9,
-            support_sigma_dense(g, t));
 }
 
 TEST_P(SeedSweep, DecompositionStatsAreInternallyConsistent) {

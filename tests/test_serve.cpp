@@ -26,11 +26,11 @@
 #include "hicond/la/vector_ops.hpp"
 #include "hicond/serve/batch.hpp"
 #include "hicond/serve/cache.hpp"
-#include "hicond/serve/client.hpp"
 #include "hicond/serve/server.hpp"
 #include "hicond/serve/snapshot.hpp"
 #include "hicond/solver.hpp"
 #include "hicond/util/rng.hpp"
+#include "inprocess_client.hpp"
 
 namespace hicond {
 namespace {
@@ -101,17 +101,28 @@ TEST(ServeCache, WarmSolveBitwiseIdenticalToCold) {
 }
 
 TEST(ServeCache, DistinctOptionsAreDistinctEntries) {
+  // Each variant changes one option away from the defaults, covering every
+  // MultilevelOptions field; each must get a key and an entry of its own.
   const Graph g = test_graph();
   const std::uint64_t fp = serve::graph_fingerprint(g);
   HierarchyCache cache(std::size_t{64} << 20);
-  LaplacianSolverOptions a;
-  LaplacianSolverOptions b;
-  b.rel_tolerance = 1e-10;
-  ASSERT_NE(serve::solver_options_key(a), serve::solver_options_key(b));
-  (void)cache.get_or_build(fp, g, a);
-  const auto second = cache.get_or_build(fp, g, b);
-  EXPECT_FALSE(second.hit);
-  EXPECT_EQ(cache.stats().entries, 2u);
+  LaplacianSolverOptions tighter;
+  tighter.rel_tolerance = 1e-10;
+  LaplacianSolverOptions chebyshev;
+  chebyshev.multilevel.smoother = SmootherKind::chebyshev;
+  LaplacianSolverOptions degree;
+  degree.multilevel.chebyshev_degree = 2;
+  const LaplacianSolverOptions variants[] = {{}, tighter, chebyshev, degree};
+  for (std::size_t i = 0; i < std::size(variants); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      ASSERT_NE(serve::solver_options_key(variants[i]),
+                serve::solver_options_key(variants[j]))
+          << i << " vs " << j;
+    }
+    const auto built = cache.get_or_build(fp, g, variants[i]);
+    EXPECT_FALSE(built.hit) << i;
+  }
+  EXPECT_EQ(cache.stats().entries, std::size(variants));
 }
 
 TEST(ServeCache, SameFingerprintDifferentBackendsAreIsolatedEntries) {
@@ -279,7 +290,6 @@ TEST(ServeBatch, SmootherAndCycleVariantsMatchSequentialAcrossThreadCounts) {
   const Graph g = gen::grid2d(50, 50, gen::WeightSpec::uniform(0.5, 2.0), 5);
   const LaplacianSolverOptions variants[] = {
       {.multilevel = {.smoother = SmootherKind::chebyshev}},
-      {.multilevel = {.cycles = 2}},
   };
   for (const LaplacianSolverOptions& options : variants) {
     std::vector<std::uint64_t> reference_hashes;

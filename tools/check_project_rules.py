@@ -91,6 +91,16 @@ Rules (each failure prints `path:line: [rule] message` and exits nonzero):
                       `// hicond-tidy: allow(fd-ownership)` (or
                       allow(fd-close)) suppresses it.
 
+  module-reach        Every header under src/hicond/ must be reached by the
+                      include closure of some translation unit under
+                      examples/, bench/, perfbench/src/ or fuzz/.  The
+                      closure follows `#include "..."` lines through src/
+                      headers and, for each reached src/ header, its
+                      sibling .cpp (a module's implementation pulls in the
+                      modules it is built on).  tests/ is not an entry
+                      point: a module only tests use belongs under tests/.
+                      Skipped when none of the entry directories exists.
+
 Run: python3 tools/check_project_rules.py [root]
 """
 from __future__ import annotations
@@ -144,6 +154,12 @@ RAW_IO_SYSCALL = re.compile(
     rf"(?:(?<![\w.>:])|(?<=::))(?:{_RAW_IO_NAMES})\s*\("
 )
 RAW_CLOSE = re.compile(r"(?:(?<![\w.>:])|(?<=::))close\s*\(")
+
+# module-reach: the binaries, benches and fuzz drivers whose include
+# closure every library header must belong to.
+REACH_ENTRY_DIRS = ("examples", "bench", "perfbench/src", "fuzz")
+SOURCE_SUFFIXES = (".cpp", ".hpp", ".h", ".cc")
+INCLUDE_QUOTED = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
 
 
 def strip_comments(line: str) -> str:
@@ -213,6 +229,35 @@ def logical_pragma_lines(text: str):
         m = PRAGMA_OMP.search(full)
         if m:
             yield lineno, m.group(1)
+
+
+def include_closure(root: pathlib.Path,
+                    entry_dirs: list[pathlib.Path]) -> set[pathlib.Path]:
+    """Every file reached from the sources under `entry_dirs`.
+
+    A quoted include resolves against src/ first, then against the
+    including file's directory.  Reaching a src/ header also reaches its
+    sibling .cpp, whose includes are followed in turn.
+    """
+    src_root = root / "src"
+    todo = [p for d in entry_dirs for p in d.rglob("*")
+            if p.suffix in SOURCE_SUFFIXES]
+    seen: set[pathlib.Path] = set()
+    while todo:
+        path = todo.pop()
+        if path in seen:
+            continue
+        seen.add(path)
+        for name in INCLUDE_QUOTED.findall(path.read_text(encoding="utf-8")):
+            for candidate in (src_root / name, path.parent / name):
+                if candidate.is_file():
+                    todo.append(candidate.resolve())
+                    break
+        impl = path.with_suffix(".cpp")
+        if (path.suffix in (".hpp", ".h") and path.is_relative_to(src_root)
+                and impl.is_file()):
+            todo.append(impl)
+    return seen
 
 
 def main() -> int:
@@ -440,6 +485,21 @@ def main() -> int:
                         f'builtin backend "{name}" never appears in '
                         "tests/prop/; the property suite must drive every "
                         "registered backend through the certify oracle")
+
+    # --- module-reach (cross-file) --------------------------------------
+    # No library module exists that no binary, bench or fuzz driver
+    # reaches; see include_closure() for how the closure is formed.
+    entry_dirs = [root / d for d in REACH_ENTRY_DIRS if (root / d).is_dir()]
+    if entry_dirs:
+        reached = include_closure(root, entry_dirs)
+        for header in sorted(src.rglob("*.hpp")):
+            if header not in reached:
+                include_name = header.relative_to(root / "src").as_posix()
+                err(header, 1, "module-reach",
+                    f'"{include_name}" is not reached from any translation '
+                    "unit under examples/, bench/, perfbench/src/ or fuzz/; "
+                    "delete it, move it under tests/, or wire it into a "
+                    "binary or bench")
 
     if errors:
         print("\n".join(errors))

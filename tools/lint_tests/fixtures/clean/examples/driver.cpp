@@ -1,0 +1,6 @@
+// module-reach entry point: reaches core/refine.hpp and util/unique_fd.hpp
+// directly, and util/parallel.hpp through refine.hpp's sibling refine.cpp.
+#include "hicond/core/refine.hpp"
+#include "hicond/util/unique_fd.hpp"
+
+int main() { return refine(0); }

@@ -1,5 +1,7 @@
 #include "hicond/core/refine.hpp"
 
+#include "hicond/util/parallel.hpp"
+
 #define HICOND_CHECK(x) ((void)(x))
 
 int refine(int x) {
