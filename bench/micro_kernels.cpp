@@ -140,9 +140,12 @@ void BM_ChebyshevSmooth(benchmark::State& state) {
   Rng rng(7);
   for (auto& v : r) v = rng.uniform(-1.0, 1.0);
   std::vector<double> z(n, 0.0);
+  std::vector<double> residual(n);
+  std::vector<double> d(n);
+  std::vector<double> work(n);
   for (auto _ : state) {
     la::fill(z, 0.0);
-    smoother.smooth(r, z);
+    smoother.smooth(r, z, residual, d, work);
     benchmark::DoNotOptimize(z.data());
   }
   state.SetItemsProcessed(state.iterations() * g.num_arcs() * 3);

@@ -276,14 +276,17 @@ int cmd_solve(int argc, char** argv) {
     const SteinerPreconditioner sp = SteinerPreconditioner::build(g, d);
     stats = pcg_solve(a, sp.as_operator(), b, x, opt);
   } else if (kind == "multilevel") {
-    // LaplacianSolver owns the hierarchy bookkeeping --report prints; the
-    // flag only chooses the output.
+    // LaplacianSolver reports the hierarchy half --report prints and this
+    // solve is added to it; the flag only chooses the output.
     const LaplacianSolver solver(
         g, {.hierarchy = {.contraction = bo, .coarsest_size = 200},
             .max_iterations = opt.max_iterations});
+    const Timer solve_timer;
     stats = solver.solve(b, x);
+    const double solve_seconds = solve_timer.seconds();
     if (g_flags.report) {
-      const obs::SolverReport report = solver.report();
+      obs::SolverReport report = solver.report();
+      report.record_solve(stats, solve_seconds);
       if (g_flags.json) {
         std::printf("%s\n", report.to_json().c_str());
       } else {

@@ -255,6 +255,15 @@ double vol_set(const Graph& g, std::span<const char> in_s) {
   });
 }
 
+std::vector<double> inverse_volumes(const Graph& g) {
+  std::vector<double> inv(static_cast<std::size_t>(g.num_vertices()));
+  parallel_for(inv.size(), [&](std::size_t v) {
+    const double vol = g.vol(static_cast<vidx>(v));
+    inv[v] = vol > 0.0 ? 1.0 / vol : 0.0;
+  });
+  return inv;
+}
+
 Graph induced_subgraph(const Graph& g, std::span<const vidx> vertices,
                        std::vector<vidx>* old_to_new) {
   std::vector<vidx> map(static_cast<std::size_t>(g.num_vertices()), -1);

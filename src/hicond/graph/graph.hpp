@@ -183,6 +183,10 @@ class Graph {
 /// vol(S) = sum of vol(v) over flagged vertices.
 [[nodiscard]] double vol_set(const Graph& g, std::span<const char> in_s);
 
+/// The Jacobi diagonal D^{-1} of L(g): 1 / vol(v), and 0 for an isolated
+/// vertex.
+[[nodiscard]] std::vector<double> inverse_volumes(const Graph& g);
+
 /// Induced subgraph on `vertices`; returns the graph and writes the mapping
 /// old-id -> new-id into `old_to_new` (-1 for vertices outside the set).
 [[nodiscard]] Graph induced_subgraph(const Graph& g,

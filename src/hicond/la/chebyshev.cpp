@@ -14,11 +14,7 @@ double estimate_jacobi_lambda_max(const Graph& g, int iterations) {
   HICOND_CHECK(iterations > 0, "estimate_jacobi_lambda_max: iterations must be positive");
   const auto n = static_cast<std::size_t>(g.num_vertices());
   if (n < 2) return 2.0;
-  std::vector<double> inv_diag(n, 0.0);
-  parallel_for(n, [&](std::size_t v) {
-    const double vol = g.vol(static_cast<vidx>(v));
-    if (vol > 0.0) inv_diag[v] = 1.0 / vol;
-  });
+  const std::vector<double> inv_diag = inverse_volumes(g);
   Rng rng(31);
   std::vector<double> x(n);
   for (auto& v : x) v = rng.uniform(-1.0, 1.0);
@@ -44,28 +40,23 @@ ChebyshevSmoother::ChebyshevSmoother(const Graph& g, int degree)
   constexpr double kBandFraction = 4.0;
   lambda_hi_ = estimate_jacobi_lambda_max(g);
   lambda_lo_ = lambda_hi_ / kBandFraction;
-  const auto n = static_cast<std::size_t>(g.num_vertices());
-  inv_diag_.assign(n, 0.0);
-  parallel_for(n, [&](std::size_t v) {
-    const double vol = g.vol(static_cast<vidx>(v));
-    if (vol > 0.0) inv_diag_[v] = 1.0 / vol;
-  });
+  inv_diag_ = inverse_volumes(g);
 }
 
 template <std::size_t W>
-void ChebyshevSmoother::smooth(std::span<const double> r,
-                               std::span<double> z) const {
+void ChebyshevSmoother::smooth(std::span<const double> r, std::span<double> z,
+                               std::span<double> residual, std::span<double> d,
+                               std::span<double> work) const {
   const std::size_t len = inv_diag_.size() * W;
   HICOND_CHECK(r.size() == len && z.size() == len, "size mismatch");
+  HICOND_CHECK(residual.size() == len && d.size() == len && work.size() == len,
+               "scratch size mismatch");
   // Standard three-term Chebyshev recurrence on the preconditioned residual
   // (Saad, "Iterative Methods", ch. 12): smooths the band
   // [lambda_lo, lambda_hi] of D^{-1} A. Every lane runs the same scalar
   // recurrence; only the vectors are W wide.
   const double theta = 0.5 * (lambda_hi_ + lambda_lo_);
   const double delta = 0.5 * (lambda_hi_ - lambda_lo_);
-  std::vector<double> residual(len);
-  std::vector<double> d(len);
-  std::vector<double> work(len);
   const auto lanes = [&](auto&& fn) {
     parallel_for(len, [&](std::size_t i) { fn(i, inv_diag_[i / W]); });
   };
@@ -94,8 +85,9 @@ void ChebyshevSmoother::smooth(std::span<const double> r,
 }
 
 #define HICOND_INSTANTIATE(W)                                               \
-  template void ChebyshevSmoother::smooth<W>(std::span<const double>,       \
-                                             std::span<double>) const;
+  template void ChebyshevSmoother::smooth<W>(                               \
+      std::span<const double>, std::span<double>, std::span<double>,        \
+      std::span<double>, std::span<double>) const;
 HICOND_FOR_EACH_LANE_WIDTH(HICOND_INSTANTIATE)
 #undef HICOND_INSTANTIATE
 

@@ -27,12 +27,13 @@ class ChebyshevSmoother {
   /// One smoothing pass: improves z as an approximate solution of A z = r,
   /// starting from the current z (use z = 0 for a first sweep). W > 1
   /// smooths W vertex-interleaved vectors (util/interleave.hpp), lane j
-  /// bitwise identical to the W = 1 pass on vector j. Instantiated for W in
+  /// bitwise identical to the W = 1 pass on vector j. `residual`, `d` and
+  /// `work` are the caller's n*W-slot scratch. Instantiated for W in
   /// {1, 2, 4, 8}.
   template <std::size_t W = 1>
-  void smooth(std::span<const double> r, std::span<double> z) const;
-
-  [[nodiscard]] int degree() const noexcept { return degree_; }
+  void smooth(std::span<const double> r, std::span<double> z,
+              std::span<double> residual, std::span<double> d,
+              std::span<double> work) const;
 
  private:
   const Graph* g_;

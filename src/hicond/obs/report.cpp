@@ -105,6 +105,15 @@ SolverReport make_solver_report(const MultilevelSteinerSolver& solver,
   return report;
 }
 
+void SolverReport::record_solve(const SolveStats& stats, double seconds) {
+  ++solves;
+  solve_seconds += seconds;
+  iterations = stats.iterations;
+  converged = stats.converged;
+  final_relative_residual = stats.final_relative_residual;
+  residual_history = stats.residual_history;
+}
+
 std::string SolverReport::to_json() const {
   JsonWriter w;
   w.begin_object();

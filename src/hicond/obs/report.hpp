@@ -6,7 +6,8 @@
 // factor rho, the closure-conductance phi distribution of the level's
 // decomposition), per-level V-cycle timings, the coarsest-level direct
 // solve, and the PCG residual trace. LaplacianSolver::report() assembles
-// one; hicond_tool --report and hicond_bench print/serialize them.
+// the hierarchy half, the caller adds its solves with record_solve();
+// hicond_tool --report and hicond_bench print/serialize them.
 #pragma once
 
 #include <string>
@@ -66,13 +67,18 @@ struct SolverReport {
   std::int64_t coarsest_calls = 0;
   double coarsest_seconds = 0.0;
 
-  // PCG solve side (zeroed until a solve ran).
+  // PCG solve side (zeroed until record_solve adds a solve).
   int solves = 0;
   int iterations = 0;  ///< of the most recent solve
   bool converged = false;
   double final_relative_residual = 0.0;
   double solve_seconds = 0.0;  ///< accumulated over all solves
   std::vector<double> residual_history;  ///< ||r_i|| of the most recent solve
+
+  /// Add one solve the caller ran and timed: counts it, adds `seconds` to
+  /// solve_seconds, and keeps its iterations, residual and residual trace
+  /// as the most recent solve's.
+  void record_solve(const SolveStats& stats, double seconds);
 
   /// Machine-readable form (schema documented in docs/OBSERVABILITY.md).
   [[nodiscard]] std::string to_json() const;
@@ -82,7 +88,7 @@ struct SolverReport {
 };
 
 /// Assemble the hierarchy/preconditioner half of a report from a built
-/// multilevel solver (the solve half stays zeroed; LaplacianSolver fills it).
+/// multilevel solver (the solve half stays zeroed; see record_solve).
 [[nodiscard]] SolverReport make_solver_report(
     const MultilevelSteinerSolver& solver,
     const SolverReportOptions& options = {});

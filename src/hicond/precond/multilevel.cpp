@@ -17,68 +17,51 @@ constexpr double kJacobiWeight = 0.7;  ///< damped-Jacobi relaxation weight
 }  // namespace
 
 MultilevelSteinerSolver MultilevelSteinerSolver::build(
-    LaminarHierarchy hierarchy, const MultilevelOptions& options) {
-  return build_impl(std::move(hierarchy), options, nullptr);
-}
-
-MultilevelSteinerSolver MultilevelSteinerSolver::build(
     LaminarHierarchy hierarchy, const MultilevelOptions& options,
-    const MultilevelSteinerSolver& reuse) {
-  return build_impl(std::move(hierarchy), options, reuse.state_.get());
-}
-
-MultilevelSteinerSolver MultilevelSteinerSolver::build_impl(
-    LaminarHierarchy hierarchy, const MultilevelOptions& options,
-    const State* reuse) {
+    const MultilevelSteinerSolver* reuse) {
   HICOND_CHECK(!hierarchy.levels.empty() ||
                    hierarchy.coarsest.num_vertices() > 0,
                "empty hierarchy");
   HICOND_SPAN("multilevel.build");
-  MultilevelSteinerSolver s;
-  s.state_ = std::make_shared<State>();
-  s.state_->hierarchy = std::move(hierarchy);
-  for (const auto& level : s.state_->hierarchy.levels) {
-    std::vector<double> inv(static_cast<std::size_t>(level.graph.num_vertices()));
-    parallel_for(inv.size(), [&](std::size_t v) {
-      const double vol = level.graph.vol(static_cast<vidx>(v));
-      inv[v] = vol > 0.0 ? 1.0 / vol : 0.0;
-    });
-    s.state_->inv_diag.push_back(std::move(inv));
-    s.state_->restriction.push_back(ClusterIndex::build(
+  auto st = std::make_shared<State>(std::move(hierarchy));
+  for (const auto& level : st->hierarchy.levels) {
+    st->inv_diag.push_back(inverse_volumes(level.graph));
+    st->restriction.push_back(ClusterIndex::build(
         level.decomposition.assignment, level.decomposition.num_clusters));
     if (options.smoother == SmootherKind::chebyshev) {
-      s.state_->chebyshev.push_back(std::make_unique<ChebyshevSmoother>(
+      st->chebyshev.push_back(std::make_unique<ChebyshevSmoother>(
           level.graph, options.chebyshev_degree));
     } else {
-      s.state_->chebyshev.push_back(nullptr);
+      st->chebyshev.push_back(nullptr);
     }
   }
-  if (s.state_->hierarchy.coarsest.num_vertices() > 1) {
+  if (st->hierarchy.coarsest.num_vertices() > 1) {
     // The factorization is a pure function of the coarsest graph, so when an
     // earlier solver factored the identical graph, alias it: same bits, no
     // refactorization. This is what makes repaired-hierarchy rebuilds cheap
     // when the quotient chain survived an update.
-    if (reuse != nullptr && reuse->coarsest_solver != nullptr &&
-        s.state_->hierarchy.coarsest.identical_to(reuse->hierarchy.coarsest)) {
-      s.state_->coarsest_solver = reuse->coarsest_solver;
+    const State* old = reuse != nullptr ? reuse->state_.get() : nullptr;
+    if (old != nullptr && old->coarsest_solver != nullptr &&
+        st->hierarchy.coarsest.identical_to(old->hierarchy.coarsest)) {
+      st->coarsest_solver = old->coarsest_solver;
       obs::MetricsRegistry::global().counter_add("multilevel.coarsest_reuses");
     } else {
-      s.state_->coarsest_solver = std::make_shared<LaplacianDirectSolver>(
-          s.state_->hierarchy.coarsest);
+      st->coarsest_solver =
+          std::make_shared<LaplacianDirectSolver>(st->hierarchy.coarsest);
     }
   }
-  s.state_->cycle_stats.assign(
-      static_cast<std::size_t>(s.state_->hierarchy.num_levels()) + 1, {});
   obs::MetricsRegistry::global().counter_add("multilevel.builds");
+  MultilevelSteinerSolver s;
+  s.state_ = std::move(st);
   return s;
 }
 
 MultilevelSteinerSolver::Workspace::Workspace(
     const MultilevelSteinerSolver& solver, std::size_t width)
-    : owner_(solver.state_.get()), width_(width) {
+    : state_(solver.state_), width_(width) {
   HICOND_CHECK(width >= 1 && width <= kMaxLanes,
                "workspace width must be in [1, 8]");
-  const State& st = *solver.state_;
+  const State& st = *state_;
   levels_.resize(st.hierarchy.levels.size());
   for (std::size_t l = 0; l < levels_.size(); ++l) {
     const HierarchyLevel& lv = st.hierarchy.levels[l];
@@ -89,20 +72,44 @@ MultilevelSteinerSolver::Workspace::Workspace(
     w.work.resize(n);
     w.coarse_r.resize(m);
     w.coarse_z.resize(m);
+    if (st.chebyshev[l] != nullptr) {
+      w.residual.resize(n);
+      w.d.resize(n);
+    }
   }
+  const auto nc = static_cast<std::size_t>(st.hierarchy.coarsest.num_vertices());
+  coarsest_in_.resize(nc);
+  coarsest_out_.resize(nc);
+  stats_.assign(levels_.size() + 1, {});
+}
+
+MultilevelSteinerSolver::Workspace::~Workspace() {
+  const State& st = *state_;
+  const MutexLock lock(st.stats_mu);
+  for (std::size_t i = 0; i < stats_.size(); ++i) {
+    st.cycle_totals[i].calls += stats_[i].calls;
+    st.cycle_totals[i].seconds += stats_[i].seconds;
+  }
+}
+
+std::vector<LevelCycleStats> MultilevelSteinerSolver::cycle_stats() const {
+  const State& st = *state_;
+  const MutexLock lock(st.stats_mu);
+  return st.cycle_totals;
 }
 
 template <std::size_t W>
 void MultilevelSteinerSolver::coarsest_solve(std::span<const double> r,
-                                             std::span<double> z) const {
+                                             std::span<double> z,
+                                             Workspace& ws) const {
   const State& st = *state_;
   if (st.coarsest_solver == nullptr) {
     la::fill(z, 0.0);
   } else {
     // The LDL' solve is per vector: gather each lane, solve, scatter back.
-    const std::size_t nc = r.size() / W;
-    std::vector<double> in(nc);
-    std::vector<double> out(nc);
+    std::vector<double>& in = ws.coarsest_in_;
+    std::vector<double>& out = ws.coarsest_out_;
+    const std::size_t nc = in.size();
     for (std::size_t j = 0; j < W; ++j) {
       for (std::size_t v = 0; v < nc; ++v) in[v] = r[v * W + j];
       st.coarsest_solver->apply(in, out);
@@ -115,23 +122,19 @@ template <std::size_t W>
 void MultilevelSteinerSolver::cycle(int level, std::span<const double> r,
                                     std::span<double> z,
                                     Workspace& ws) const {
-  State& st = *state_;
-  // Inclusive per-level attribution; apply() is single-caller, so plain
-  // accumulation into the shared state is race-free.
-  LevelCycleStats& attribution =
-      st.cycle_stats[static_cast<std::size_t>(level)];
-  const Timer level_timer;
+  const State& st = *state_;
+  // Inclusive per-level attribution, into the caller's workspace.
   struct Accumulate {
-    const Timer& timer;
     LevelCycleStats& stats;
+    const Timer timer;
     ~Accumulate() {
       ++stats.calls;
       stats.seconds += timer.seconds();
     }
-  } accumulate{level_timer, attribution};
+  } accumulate{ws.stats_[static_cast<std::size_t>(level)], Timer()};
 
   if (level == st.hierarchy.num_levels()) {
-    coarsest_solve<W>(r, z);
+    coarsest_solve<W>(r, z, ws);
     return;
   }
   const auto l = static_cast<std::size_t>(level);
@@ -153,10 +156,17 @@ void MultilevelSteinerSolver::cycle(int level, std::span<const double> r,
 
   const ChebyshevSmoother* cheb = st.chebyshev[l].get();
 
+  // One Chebyshev sweep (cheb != nullptr only); its recurrence runs in this
+  // level's workspace vectors, A d in `work`.
+  const auto chebyshev_sweep = [&] {
+    cheb->smooth<W>(r, z, {scratch.residual.data(), n * W},
+                    {scratch.d.data(), n * W}, work);
+  };
+
   // Pre-smoothing sweep from z = 0.
   if (cheb != nullptr) {
     la::fill(z, 0.0);
-    cheb->smooth<W>(r, z);
+    chebyshev_sweep();
   } else {
     // A*0 is +0.0 in every slot, so the Jacobi pre-sweep skips its SpMV:
     // this is the post-sweep update below, bit for bit, with z = 0.0 and
@@ -182,7 +192,7 @@ void MultilevelSteinerSolver::cycle(int level, std::span<const double> r,
   });
   // Post-smoothing sweep (symmetric to the pre-smoothing).
   if (cheb != nullptr) {
-    cheb->smooth<W>(r, z);
+    chebyshev_sweep();
   } else {
     a.laplacian_apply<W>(z, work);
     each_slot([&](std::size_t i, std::size_t v) {
@@ -197,7 +207,7 @@ void MultilevelSteinerSolver::apply(std::span<const double> r,
                                     Workspace& ws) const {
   HICOND_SPAN("multilevel.apply");
   const State& st = *state_;
-  HICOND_CHECK(ws.owner_ == &st, "workspace built for another solver");
+  HICOND_CHECK(ws.state_ == state_, "workspace built for another solver");
   HICOND_CHECK(W <= ws.width_, "workspace narrower than the block");
   const Graph& finest = st.hierarchy.num_levels() == 0
                             ? st.hierarchy.coarsest
@@ -206,7 +216,7 @@ void MultilevelSteinerSolver::apply(std::span<const double> r,
   HICOND_CHECK(r.size() == slots, "residual size mismatch");
   HICOND_CHECK(z.size() == slots, "correction size mismatch");
   if (st.hierarchy.num_levels() == 0) {
-    coarsest_solve<W>(r, z);
+    coarsest_solve<W>(r, z, ws);
     return;
   }
   cycle<W>(0, r, z, ws);
@@ -239,8 +249,8 @@ void MultilevelSteinerSolver::apply_block(std::span<const double> r,
 }
 
 LinearOperator MultilevelSteinerSolver::as_operator() const {
-  auto self = *this;  // shares state_
-  return [self](std::span<const double> r, std::span<double> z) {
+  // A copy shares state_.
+  return [self = *this](std::span<const double> r, std::span<double> z) {
     self.apply(r, z);
   };
 }

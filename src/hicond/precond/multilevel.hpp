@@ -18,6 +18,7 @@
 #include "hicond/la/sparse_cholesky.hpp"
 #include "hicond/partition/cluster_index.hpp"
 #include "hicond/partition/hierarchy.hpp"
+#include "hicond/util/thread_annotations.hpp"
 
 namespace hicond {
 
@@ -33,7 +34,7 @@ struct MultilevelOptions {
   int chebyshev_degree = 3;  ///< matrix applications per Chebyshev sweep
 };
 
-/// Accumulated per-level V-cycle time attribution (see cycle_stats()).
+/// Per-level V-cycle time attribution (see cycle_stats()).
 struct LevelCycleStats {
   std::int64_t calls = 0;
   double seconds = 0.0;  ///< inclusive of the recursion into coarser levels
@@ -45,13 +46,10 @@ class MultilevelSteinerSolver {
   struct State;
 
  public:
-  [[nodiscard]] static MultilevelSteinerSolver build(
-      LaminarHierarchy hierarchy, const MultilevelOptions& options = {});
-
-  /// Build over `hierarchy`, reusing state from `reuse` where it provably
-  /// carries over: when the coarsest graphs are bitwise identical the
-  /// coarsest LDL' factorization -- the dominant setup cost on deep
-  /// hierarchies -- is shared instead of refactored. This is the
+  /// Build the cycle over `hierarchy`. When `reuse` is given, its state is
+  /// carried over where that is provably exact: when the coarsest graphs are
+  /// bitwise identical the coarsest LDL' factorization -- the dominant setup
+  /// cost on deep hierarchies -- is shared instead of refactored. This is the
   /// dynamic-repair fast path: a repaired hierarchy whose quotient chain was
   /// preserved (RepairResult::upper_rebuilt == false) keeps the old coarsest
   /// graph, so the factorization transfers. The result is bitwise identical
@@ -59,26 +57,33 @@ class MultilevelSteinerSolver {
   /// coarsest graph). Per-level smoother state is rebuilt (smoothers hold
   /// pointers into their own hierarchy and must not alias another's).
   [[nodiscard]] static MultilevelSteinerSolver build(
-      LaminarHierarchy hierarchy, const MultilevelOptions& options,
-      const MultilevelSteinerSolver& reuse);
+      LaminarHierarchy hierarchy, const MultilevelOptions& options = {},
+      const MultilevelSteinerSolver* reuse = nullptr);
 
-  /// Caller-owned scratch for apply<W> with W <= `width`: each level's
-  /// vectors. Allocate one per solve; a shared
-  /// (cached) solver then holds no per-call scratch. Not for concurrent use,
-  /// and only for the solver it was built for (or a copy sharing its state).
+  /// All per-solve state for apply<W> with W <= `width`: the V-cycle and
+  /// Chebyshev vectors, the coarsest gather/scatter buffers and this solve's
+  /// cycle timings, which the destructor adds once to cycle_stats(). A built
+  /// solver is read-only, so threads may solve with it at once, each through
+  /// its own Workspace. Serves only the solver it was built for (or a copy).
   class Workspace {
    public:
     Workspace(const MultilevelSteinerSolver& solver, std::size_t width);
+    ~Workspace();
+    Workspace(const Workspace&) = delete;
+    Workspace& operator=(const Workspace&) = delete;
 
    private:
     friend class MultilevelSteinerSolver;
-    const State* owner_;
+    std::shared_ptr<const State> state_;
     struct Level {
-      std::vector<double> work;                ///< n*W: A z
+      std::vector<double> work;                ///< n*W: A z, and A d
       std::vector<double> coarse_r, coarse_z;  ///< m*W: coarse r and z
+      std::vector<double> residual, d;  ///< n*W, Chebyshev levels only
     };
     std::size_t width_;
     std::vector<Level> levels_;
+    std::vector<double> coarsest_in_, coarsest_out_;  ///< one coarsest lane
+    std::vector<LevelCycleStats> stats_;  ///< levels + coarsest, this solve
   };
 
   /// z = M^{-1} r (one symmetric V-cycle starting from z = 0).
@@ -116,17 +121,20 @@ class MultilevelSteinerSolver {
 
   /// Wall time spent per level across every apply() so far: entries
   /// [0, num_levels()) are the V-cycle levels, the last entry is the
-  /// coarsest direct solve. Updated by the applying thread only; read it
-  /// between solves, not concurrently with one.
-  [[nodiscard]] std::vector<LevelCycleStats> cycle_stats() const {
-    return state_->cycle_stats;
-  }
+  /// coarsest direct solve. A snapshot of the totals, which each Workspace
+  /// adds to when it is destroyed (so a solve counts once it returns); safe
+  /// to call concurrently with solves.
+  [[nodiscard]] std::vector<LevelCycleStats> cycle_stats() const;
 
   /// Total vertices across all levels divided by n (grid-complexity metric).
   [[nodiscard]] double operator_complexity() const;
 
  private:
   struct State {
+    explicit State(LaminarHierarchy h)
+        : hierarchy(std::move(h)),
+          cycle_totals(static_cast<std::size_t>(hierarchy.num_levels()) + 1) {}
+
     LaminarHierarchy hierarchy;
     std::vector<std::vector<double>> inv_diag;  ///< per level
     /// Per-level cluster-major index driving the parallel restriction.
@@ -136,20 +144,21 @@ class MultilevelSteinerSolver {
     /// dynamic-repair path) can alias the factorization instead of
     /// refactoring; LaplacianDirectSolver is immutable after construction.
     std::shared_ptr<const LaplacianDirectSolver> coarsest_solver;
-    std::vector<LevelCycleStats> cycle_stats;  ///< levels + coarsest
+    /// Across-solve cycle totals (levels + coarsest), the only state a solve
+    /// writes; Workspace destructors add to them under the lock.
+    mutable Mutex stats_mu;
+    mutable std::vector<LevelCycleStats> cycle_totals
+        HICOND_GUARDED_BY(stats_mu);
   };
-
-  [[nodiscard]] static MultilevelSteinerSolver build_impl(
-      LaminarHierarchy hierarchy, const MultilevelOptions& options,
-      const State* reuse);
 
   template <std::size_t W>
   void cycle(int level, std::span<const double> r, std::span<double> z,
              Workspace& ws) const;
   template <std::size_t W>
-  void coarsest_solve(std::span<const double> r, std::span<double> z) const;
+  void coarsest_solve(std::span<const double> r, std::span<double> z,
+                      Workspace& ws) const;
 
-  std::shared_ptr<State> state_;
+  std::shared_ptr<const State> state_;
 };
 
 }  // namespace hicond

@@ -96,12 +96,10 @@ SteinerPreconditioner SteinerPreconditioner::build(const Graph& a,
   SteinerPreconditioner sp;
   sp.assignment_ = p.assignment;
   const vidx n = a.num_vertices();
-  sp.inv_diag_.resize(static_cast<std::size_t>(n));
+  sp.inv_diag_ = inverse_volumes(a);
   sp.vol_.resize(static_cast<std::size_t>(n));
   parallel_for(static_cast<std::size_t>(n), [&](std::size_t v) {
-    const double vol = a.vol(static_cast<vidx>(v));
-    sp.vol_[v] = vol;
-    sp.inv_diag_[v] = vol > 0.0 ? 1.0 / vol : 0.0;
+    sp.vol_[v] = a.vol(static_cast<vidx>(v));
   });
   sp.index_ = std::make_shared<ClusterIndex>(
       ClusterIndex::build(p.assignment, p.num_clusters));
@@ -135,22 +133,9 @@ void SteinerPreconditioner::apply(std::span<const double> r,
 }
 
 LinearOperator SteinerPreconditioner::as_operator() const {
-  // Capture shared state by value so the operator is self-contained.
-  auto assignment = assignment_;
-  auto inv_diag = inv_diag_;
-  auto index = index_;
-  auto quotient_solver = quotient_solver_;
-  return [assignment, inv_diag, index, quotient_solver](
-             std::span<const double> r, std::span<double> z) {
-    const std::size_t n = inv_diag.size();
-    std::vector<double> rq(static_cast<std::size_t>(quotient_solver->dim()),
-                           0.0);
-    index->restrict_sum(r, rq);
-    const std::vector<double> yq = quotient_solver->solve(rq);
-    parallel_for(n, [&](std::size_t v) {
-      z[v] = inv_diag[v] * r[v] +
-             yq[static_cast<std::size_t>(assignment[v])];
-    });
+  // A copy shares the quotient solver, so the operator is self-contained.
+  return [self = *this](std::span<const double> r, std::span<double> z) {
+    self.apply(r, z);
   };
 }
 

@@ -86,16 +86,10 @@ void SubgraphPreconditioner::apply(std::span<const double> r,
 }
 
 LinearOperator SubgraphPreconditioner::as_operator() const {
-  // Copy the shared state so the operator outlives this object safely.
-  auto pc = pc_;
-  auto core = core_solver_;
-  return [pc, core](std::span<const double> r, std::span<double> z) {
-    auto core_solve = [&core](std::span<const double> cb) {
-      if (core == nullptr) return std::vector<double>(cb.size(), 0.0);
-      return core->solve(cb);
-    };
-    const std::vector<double> x = pc->solve(r, core_solve);
-    std::copy(x.begin(), x.end(), z.begin());
+  // A copy shares the cascade and core solver, so the operator outlives
+  // this object safely.
+  return [self = *this](std::span<const double> r, std::span<double> z) {
+    self.apply(r, z);
   };
 }
 

@@ -17,9 +17,8 @@ LaplacianSolver::LaplacianSolver(Graph g,
   HICOND_RUN_VALIDATION(expensive, graph_->validate());
   HICOND_CHECK(is_connected(*graph_),
                "LaplacianSolver requires a connected graph");
-  solver_ = std::make_shared<MultilevelSteinerSolver>(
-      MultilevelSteinerSolver::build(
-          build_hierarchy(*graph_, options.hierarchy), options.multilevel));
+  solver_ = MultilevelSteinerSolver::build(
+      build_hierarchy(*graph_, options.hierarchy), options.multilevel);
   setup_seconds_ = setup_timer.seconds();
 }
 
@@ -36,12 +35,8 @@ LaplacianSolver::LaplacianSolver(Graph g, LaminarHierarchy hierarchy,
                "hierarchy base graph does not match the solver's graph");
   HICOND_CHECK(is_connected(*graph_),
                "LaplacianSolver requires a connected graph");
-  solver_ = std::make_shared<MultilevelSteinerSolver>(
-      reuse != nullptr
-          ? MultilevelSteinerSolver::build(std::move(hierarchy),
-                                           options.multilevel, *reuse)
-          : MultilevelSteinerSolver::build(std::move(hierarchy),
-                                           options.multilevel));
+  solver_ = MultilevelSteinerSolver::build(std::move(hierarchy),
+                                           options.multilevel, reuse);
   setup_seconds_ = setup_timer.seconds();
 }
 
@@ -56,7 +51,7 @@ std::vector<SolveStats> LaplacianSolver::solve_batch(std::span<const double> b,
                                                      int k) const {
   HICOND_SPAN("solver.solve_batch");
   const Graph& g = *graph_;
-  const MultilevelSteinerSolver& ml = *solver_;
+  const MultilevelSteinerSolver& ml = solver_;
   const auto n = static_cast<std::size_t>(g.num_vertices());
   HICOND_CHECK(k >= 1, "batched solve needs at least one right-hand side");
   HICOND_CHECK(b.size() == n * static_cast<std::size_t>(k),
@@ -66,7 +61,6 @@ std::vector<SolveStats> LaplacianSolver::solve_batch(std::span<const double> b,
                              .rel_tolerance = options_.rel_tolerance,
                              .record_history = true,
                              .project_constant = true};
-  const Timer solve_timer;
   std::vector<SolveStats> stats(static_cast<std::size_t>(k));
   const std::size_t widest = std::min(kMaxLanes, static_cast<std::size_t>(k));
   MultilevelSteinerSolver::Workspace ws(ml, widest);
@@ -94,24 +88,13 @@ std::vector<SolveStats> LaplacianSolver::solve_batch(std::span<const double> b,
     std::move(chunk.begin(), chunk.end(),
               stats.begin() + static_cast<std::ptrdiff_t>(j0));
   });
-  solve_seconds_total_ += solve_timer.seconds();
-  num_solves_ += k;
-  last_stats_ = stats.back();
   return stats;
 }
 
 obs::SolverReport LaplacianSolver::report(
     const obs::SolverReportOptions& options) const {
-  obs::SolverReport r = obs::make_solver_report(*solver_, options);
+  obs::SolverReport r = obs::make_solver_report(solver_, options);
   r.setup_seconds = setup_seconds_;
-  r.solves = num_solves_;
-  r.solve_seconds = solve_seconds_total_;
-  if (num_solves_ > 0) {
-    r.iterations = last_stats_.iterations;
-    r.converged = last_stats_.converged;
-    r.final_relative_residual = last_stats_.final_relative_residual;
-    r.residual_history = last_stats_.residual_history;
-  }
   return r;
 }
 

@@ -28,7 +28,8 @@ struct LaplacianSolverOptions {
   int max_iterations = 10000;
 };
 
-/// Owns a copy of the graph and the full preconditioner hierarchy.
+/// Owns a copy of the graph and the full preconditioner hierarchy. Read-only
+/// once built: every const method, solves included, may run concurrently.
 class LaplacianSolver {
  public:
   explicit LaplacianSolver(Graph g, const LaplacianSolverOptions& options = {});
@@ -38,8 +39,8 @@ class LaplacianSolver {
   /// `hierarchy.levels[0].graph` (or `coarsest` for a flat hierarchy) must
   /// be bitwise identical to `g`, which is checked. When `reuse` is non-null
   /// its preconditioner state is carried over where provably unchanged (see
-  /// MultilevelSteinerSolver::build's reuse overload); the resulting solver
-  /// behaves bitwise identically to one built without `reuse`.
+  /// MultilevelSteinerSolver::build); the resulting solver behaves bitwise
+  /// identically to one built without `reuse`.
   LaplacianSolver(Graph g, LaminarHierarchy hierarchy,
                   const LaplacianSolverOptions& options = {},
                   const MultilevelSteinerSolver* reuse = nullptr);
@@ -70,15 +71,15 @@ class LaplacianSolver {
 
   /// The underlying multilevel cycle (for reports, cache sizing, batching).
   [[nodiscard]] const MultilevelSteinerSolver& multilevel() const noexcept {
-    return *solver_;
+    return solver_;
   }
 
   [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
   [[nodiscard]] int num_levels() const noexcept {
-    return solver_->num_levels();
+    return solver_.num_levels();
   }
   [[nodiscard]] double operator_complexity() const {
-    return solver_->operator_complexity();
+    return solver_.operator_complexity();
   }
 
   /// Wall time of hierarchy + preconditioner construction.
@@ -87,22 +88,17 @@ class LaplacianSolver {
   }
 
   /// Structured report of the hierarchy (per-level sizes, phi distribution,
-  /// V-cycle timings) plus the most recent solve's iteration stats and
-  /// residual trace. Solve bookkeeping is updated by solve() without
-  /// synchronization: don't call report() concurrently with a solve.
+  /// V-cycle timings over every solve so far) and setup time. A built solver
+  /// keeps no solve bookkeeping: the solve half stays zeroed until the caller
+  /// adds its own solves with SolverReport::record_solve.
   [[nodiscard]] obs::SolverReport report(
       const obs::SolverReportOptions& options = {}) const;
 
  private:
   LaplacianSolverOptions options_;
-  std::shared_ptr<Graph> graph_;
-  std::shared_ptr<MultilevelSteinerSolver> solver_;
+  std::shared_ptr<const Graph> graph_;
+  MultilevelSteinerSolver solver_;  ///< shares its built state on copy
   double setup_seconds_ = 0.0;
-  // Last-solve bookkeeping for report(); mutated by the const solve()
-  // entry points (logically observational state).
-  mutable SolveStats last_stats_;
-  mutable int num_solves_ = 0;
-  mutable double solve_seconds_total_ = 0.0;
 };
 
 }  // namespace hicond

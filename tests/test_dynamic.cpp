@@ -460,8 +460,8 @@ TEST(SolverReuse, PrebuiltHierarchyWithReuseIsBitwiseIdentical) {
   const LaplacianSolver reused(g, build_hierarchy(g, opt.hierarchy), opt,
                                &cold.multilevel());
   std::vector<double> b(static_cast<std::size_t>(g.num_vertices()), 0.0);
-  b.front() = 1.0;
-  b.back() = -1.0;
+  b.at(0) = 1.0;
+  b.at(b.size() - 1) = -1.0;
   std::vector<double> x1(b.size(), 0.0);
   std::vector<double> x2(b.size(), 0.0);
   const SolveStats s1 = cold.solve(b, x1);

@@ -14,6 +14,7 @@
 #include "hicond/obs/report.hpp"
 #include "hicond/solver.hpp"
 #include "hicond/util/rng.hpp"
+#include "hicond/util/timer.hpp"
 
 namespace hicond {
 namespace {
@@ -107,7 +108,17 @@ class SolverReportTest : public ::testing::Test {
     for (auto& v : b_) v = rng.uniform(-1.0, 1.0);
     la::remove_mean(b_);
     x_.assign(n, 0.0);
+    const Timer solve_timer;
     stats_ = solver_->solve(b_, x_);
+    solve_seconds_ = solve_timer.seconds();
+  }
+
+  // The solver's report with the fixture's one solve recorded into it.
+  [[nodiscard]] obs::SolverReport report_with_solve(
+      const obs::SolverReportOptions& options = {}) const {
+    obs::SolverReport r = solver_->report(options);
+    r.record_solve(stats_, solve_seconds_);
+    return r;
   }
 
   Graph graph_;
@@ -115,10 +126,11 @@ class SolverReportTest : public ::testing::Test {
   std::vector<double> b_;
   std::vector<double> x_;
   SolveStats stats_;
+  double solve_seconds_ = 0.0;
 };
 
 TEST_F(SolverReportTest, HierarchyShapeIsConsistent) {
-  const obs::SolverReport report = solver_->report();
+  const obs::SolverReport report = report_with_solve();
   ASSERT_FALSE(report.levels.empty());
   EXPECT_EQ(report.vertices, graph_.num_vertices());
   EXPECT_EQ(report.edges, graph_.num_edges());
@@ -134,7 +146,7 @@ TEST_F(SolverReportTest, HierarchyShapeIsConsistent) {
 }
 
 TEST_F(SolverReportTest, QualityDistributionIsSane) {
-  const obs::SolverReport report = solver_->report();
+  const obs::SolverReport report = report_with_solve();
   for (const obs::LevelReport& lv : report.levels) {
     EXPECT_GT(lv.phi_min, 0.0);
     EXPECT_LE(lv.phi_min, lv.phi_p50);
@@ -147,7 +159,7 @@ TEST_F(SolverReportTest, QualityDistributionIsSane) {
 }
 
 TEST_F(SolverReportTest, TimingAttributionIsConsistent) {
-  const obs::SolverReport report = solver_->report();
+  const obs::SolverReport report = report_with_solve();
   EXPECT_GT(report.setup_seconds, 0.0);
   EXPECT_EQ(report.solves, 1);
   EXPECT_GT(report.solve_seconds, 0.0);
@@ -171,7 +183,7 @@ TEST_F(SolverReportTest, TimingAttributionIsConsistent) {
 }
 
 TEST_F(SolverReportTest, ResidualTraceMatchesSolveAndConverges) {
-  const obs::SolverReport report = solver_->report();
+  const obs::SolverReport report = report_with_solve();
   EXPECT_TRUE(report.converged);
   EXPECT_EQ(report.iterations, stats_.iterations);
   ASSERT_EQ(report.residual_history.size(),
@@ -188,7 +200,7 @@ TEST_F(SolverReportTest, ResidualTraceMatchesSolveAndConverges) {
 }
 
 TEST_F(SolverReportTest, JsonRoundTrip) {
-  const obs::SolverReport report = solver_->report();
+  const obs::SolverReport report = report_with_solve();
   const obs::JsonValue doc = obs::parse_json(report.to_json());
   EXPECT_DOUBLE_EQ(doc.at("vertices").number,
                    static_cast<double>(graph_.num_vertices()));
@@ -207,7 +219,7 @@ TEST_F(SolverReportTest, JsonRoundTrip) {
 
 TEST_F(SolverReportTest, SkippingQualityLeavesPhiUnset) {
   const obs::SolverReport report =
-      solver_->report(obs::SolverReportOptions{.quality = false});
+      report_with_solve(obs::SolverReportOptions{.quality = false});
   for (const obs::LevelReport& lv : report.levels) {
     EXPECT_EQ(lv.phi_min, 0.0);
     EXPECT_EQ(lv.phi_p50, 0.0);

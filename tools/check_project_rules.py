@@ -91,6 +91,14 @@ Rules (each failure prints `path:line: [rule] message` and exits nonzero):
                       `// hicond-tidy: allow(fd-ownership)` (or
                       allow(fd-close)) suppresses it.
 
+  mutable-member      A `mutable` data member under src/hicond/ must be a
+                      hicond::Mutex or carry HICOND_GUARDED_BY(...).  Built
+                      solvers are shared across threads as const objects,
+                      so state a const method writes needs a lock the
+                      thread-safety analysis can see; per-call state belongs
+                      in a caller-owned workspace instead.  Lambdas declared
+                      `mutable` are not data members and are not matched.
+
   module-reach        Every header under src/hicond/ must be reached by the
                       include closure of some translation unit under
                       examples/, bench/, perfbench/src/ or fuzz/.  The
@@ -152,6 +160,13 @@ _RAW_IO_NAMES = (
 )
 RAW_IO_SYSCALL = re.compile(
     rf"(?:(?<![\w.>:])|(?<=::))(?:{_RAW_IO_NAMES})\s*\("
+)
+# A declaration that starts with `mutable`, up to its `;`: a data member.
+# A lambda's `mutable` follows its parameter list and reaches `{` before
+# any `;`, so it never matches.
+MUTABLE_MEMBER = re.compile(r"^[ \t]*mutable\s+([^;{}]*);", re.MULTILINE)
+MUTABLE_ALLOWED = re.compile(
+    r"^(?:(?:::)?hicond::)?Mutex\s+\w+\s*$|\bHICOND_GUARDED_BY\s*\("
 )
 RAW_CLOSE = re.compile(r"(?:(?<![\w.>:])|(?<=::))close\s*\(")
 
@@ -365,6 +380,17 @@ def main() -> int:
                             "raw close() outside util/unique_fd.hpp; own "
                             "descriptors with hicond::unique_fd (reset() "
                             "is the single close site)")
+
+            # --- mutable-member ---------------------------------------
+            if rel.startswith("src/hicond/"):
+                code = "\n".join(strip_comments(line) for line in lines)
+                for m in MUTABLE_MEMBER.finditer(code):
+                    if not MUTABLE_ALLOWED.search(m.group(1).strip()):
+                        err(path, code.count("\n", 0, m.start()) + 1,
+                            "mutable-member",
+                            "mutable data member that is neither a Mutex "
+                            "nor HICOND_GUARDED_BY(...); keep per-call "
+                            "state in a caller-owned workspace")
 
             # --- check-coverage (library .cpp only) ---------------------
             if (
