@@ -1,8 +1,9 @@
 // MB-* -- google-benchmark microbenchmarks of the library's kernels: the
 // Laplacian SpMV, the quotient triple product Q = R'AR (Remark 1's parallel
 // sparse matrix multiplication), the three Section 3.1 passes, tree
-// decomposition, maximum spanning forests, exact forest solves, and one
-// Steiner preconditioner application.
+// decomposition, maximum spanning forests, exact forest solves, one
+// Steiner preconditioner application, and the JSON number codec on a
+// 40k-entry vector (the size of a served grid2d 200^2 right-hand side).
 #include <benchmark/benchmark.h>
 
 #include "hicond/graph/generators.hpp"
@@ -12,6 +13,7 @@
 #include "hicond/la/spgemm.hpp"
 #include "hicond/la/tree_solver.hpp"
 #include "hicond/la/vector_ops.hpp"
+#include "hicond/obs/json.hpp"
 #include "hicond/partition/fixed_degree.hpp"
 #include "hicond/partition/hierarchy.hpp"
 #include "hicond/precond/steiner.hpp"
@@ -223,5 +225,45 @@ void BM_SteinerApply(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.num_vertices());
 }
 BENCHMARK(BM_SteinerApply)->Arg(16)->Arg(24);
+
+/// A JSON array of `n` mean-free uniform doubles, as a served b or x.
+std::string json_vector(std::size_t n) {
+  std::vector<double> v(n);
+  Rng rng(6);
+  for (auto& x : v) x = rng.uniform(-1.0, 1.0);
+  la::remove_mean(v);
+  obs::JsonWriter w;
+  w.begin_array();
+  for (const double x : v) w.value(x);
+  w.end_array();
+  return w.str();
+}
+
+void BM_JsonEncodeVector(benchmark::State& state) {
+  const obs::JsonValue doc =
+      obs::parse_json(json_vector(static_cast<std::size_t>(state.range(0))));
+  for (auto _ : state) {
+    obs::JsonWriter w;
+    w.begin_array();
+    for (const obs::JsonValue& x : doc.array) w.value(x.number);
+    w.end_array();
+    benchmark::DoNotOptimize(w.str().data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_JsonEncodeVector)->Arg(40000);
+
+void BM_JsonParseVector(benchmark::State& state) {
+  const std::string text =
+      json_vector(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    const obs::JsonValue doc = obs::parse_json(text);
+    benchmark::DoNotOptimize(doc.array.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_JsonParseVector)->Arg(40000);
 
 }  // namespace

@@ -5,15 +5,17 @@
 //
 // Without --socket, requests are read from stdin and responses written to
 // stdout, one JSON object per line; with --socket, the same protocol is
-// served over a unix domain socket at PATH (one connection at a time). Each
+// served over a unix domain socket at PATH (one connection at a time). Both
+// run the one serve loop, serve::serve_connection. Each
 // --preload file is loaded before serving starts and its fingerprint is
 // printed on stderr, so scripted sessions can address graphs without a load
 // round-trip. The protocol and the cache/backpressure semantics are
 // documented in docs/SERVING.md.
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -77,7 +79,8 @@ int main(int argc, char** argv) {
     if (!socket_path.empty()) {
       return serve::serve_unix_socket(core, socket_path);
     }
-    return serve::serve_stream(core, std::cin, std::cout);
+    serve::serve_connection(core, STDIN_FILENO, STDOUT_FILENO);
+    return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "hicond_serve: %s\n", e.what());
     return 1;

@@ -377,40 +377,44 @@ SparseLDL SparseLDL::factor(const CsrMatrix& a, Ordering ordering) {
 }
 
 std::vector<double> SparseLDL::solve(std::span<const double> b) const {
-  HICOND_CHECK(b.size() == static_cast<std::size_t>(n_), "rhs size mismatch");
   std::vector<double> x(static_cast<std::size_t>(n_));
-  for (vidx k = 0; k < n_; ++k) {
-    x[static_cast<std::size_t>(k)] =
-        b[static_cast<std::size_t>(perm_[static_cast<std::size_t>(k)])];
+  std::vector<double> work(static_cast<std::size_t>(n_));
+  solve(b, x, work);
+  return x;
+}
+
+void SparseLDL::solve(std::span<const double> b, std::span<double> x,
+                      std::span<double> work) const {
+  const auto n = static_cast<std::size_t>(n_);
+  HICOND_CHECK(b.size() == n, "rhs size mismatch");
+  HICOND_CHECK(x.size() == n && work.size() == n,
+               "solution or work size mismatch");
+  for (std::size_t k = 0; k < n; ++k) {
+    work[k] = b[static_cast<std::size_t>(perm_[k])];
   }
   // L z = b (unit lower triangular, CSC columns).
-  for (vidx j = 0; j < n_; ++j) {
-    const double xj = x[static_cast<std::size_t>(j)];
-    for (eidx p = l_offsets_[static_cast<std::size_t>(j)];
-         p < l_offsets_[static_cast<std::size_t>(j) + 1]; ++p) {
-      x[static_cast<std::size_t>(l_idx_[static_cast<std::size_t>(p)])] -=
-          l_val_[static_cast<std::size_t>(p)] * xj;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double wj = work[j];
+    for (eidx p = l_offsets_[j]; p < l_offsets_[j + 1]; ++p) {
+      work[static_cast<std::size_t>(l_idx_[static_cast<std::size_t>(p)])] -=
+          l_val_[static_cast<std::size_t>(p)] * wj;
     }
   }
-  for (vidx j = 0; j < n_; ++j) {
-    x[static_cast<std::size_t>(j)] /= d_[static_cast<std::size_t>(j)];
+  for (std::size_t j = 0; j < n; ++j) {
+    work[j] /= d_[j];
   }
   // L' x = z.
-  for (vidx j = n_ - 1; j >= 0; --j) {
-    double acc = x[static_cast<std::size_t>(j)];
-    for (eidx p = l_offsets_[static_cast<std::size_t>(j)];
-         p < l_offsets_[static_cast<std::size_t>(j) + 1]; ++p) {
+  for (std::size_t j = n; j-- > 0;) {
+    double acc = work[j];
+    for (eidx p = l_offsets_[j]; p < l_offsets_[j + 1]; ++p) {
       acc -= l_val_[static_cast<std::size_t>(p)] *
-             x[static_cast<std::size_t>(l_idx_[static_cast<std::size_t>(p)])];
+             work[static_cast<std::size_t>(l_idx_[static_cast<std::size_t>(p)])];
     }
-    x[static_cast<std::size_t>(j)] = acc;
+    work[j] = acc;
   }
-  std::vector<double> result(static_cast<std::size_t>(n_));
-  for (vidx k = 0; k < n_; ++k) {
-    result[static_cast<std::size_t>(perm_[static_cast<std::size_t>(k)])] =
-        x[static_cast<std::size_t>(k)];
+  for (std::size_t k = 0; k < n; ++k) {
+    x[static_cast<std::size_t>(perm_[k])] = work[k];
   }
-  return result;
 }
 
 namespace {
@@ -461,26 +465,37 @@ std::vector<double> LaplacianDirectSolver::solve(
 
 void LaplacianDirectSolver::apply(std::span<const double> b,
                                   std::span<double> x) const {
+  std::vector<double> scratch(scratch_size());
+  apply(b, x, scratch);
+}
+
+void LaplacianDirectSolver::apply(std::span<const double> b,
+                                  std::span<double> x,
+                                  std::span<double> scratch) const {
   HICOND_CHECK(b.size() == static_cast<std::size_t>(n_), "rhs size mismatch");
   HICOND_CHECK(x.size() == static_cast<std::size_t>(n_), "x size mismatch");
   if (n_ == 1) {
     x[0] = 0.0;
     return;
   }
+  const auto m = static_cast<std::size_t>(n_) - 1;
+  HICOND_CHECK(scratch.size() >= scratch_size(), "scratch too small");
+  const std::span<double> rb = scratch.first(m);
+  const std::span<double> rx = scratch.subspan(m, m);
+  const std::span<double> work = scratch.subspan(2 * m, m);
   // Project the rhs onto range(L) = {mean-free vectors} first: this makes
   // the grounded solve a true symmetric pseudo-inverse even for
   // inconsistent right-hand sides.
   double b_mean = 0.0;
   for (vidx v = 0; v < n_; ++v) b_mean += b[static_cast<std::size_t>(v)];
   b_mean /= static_cast<double>(n_);
-  std::vector<double> rb;
-  rb.reserve(static_cast<std::size_t>(n_) - 1);
-  for (vidx v = 0; v < n_; ++v) {
-    if (v != grounded_) rb.push_back(b[static_cast<std::size_t>(v)] - b_mean);
-  }
-  const std::vector<double> rx = ldl_.solve(rb);
-  double mean = 0.0;
   std::size_t k = 0;
+  for (vidx v = 0; v < n_; ++v) {
+    if (v != grounded_) rb[k++] = b[static_cast<std::size_t>(v)] - b_mean;
+  }
+  ldl_.solve(rb, rx, work);
+  double mean = 0.0;
+  k = 0;
   for (vidx v = 0; v < n_; ++v) {
     if (v == grounded_) {
       x[static_cast<std::size_t>(v)] = 0.0;

@@ -37,6 +37,11 @@ class SparseLDL {
   /// Solve A x = b.
   [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
 
+  /// Solve A x = b into caller-owned `x`, with `work` (dim() slots) holding
+  /// the permuted system: allocates nothing, and x is bitwise solve(b).
+  void solve(std::span<const double> b, std::span<double> x,
+             std::span<double> work) const;
+
   [[nodiscard]] vidx dim() const noexcept { return n_; }
 
   /// Nonzeros in the strictly-lower factor (a fill metric).
@@ -72,6 +77,18 @@ class LaplacianDirectSolver {
 
   /// In-place variant compatible with LinearOperator signatures.
   void apply(std::span<const double> b, std::span<double> x) const;
+
+  /// apply() through caller-owned `scratch` of scratch_size() slots:
+  /// allocates nothing, and x is bitwise apply(b, x). Repeated callers (the
+  /// multilevel coarsest solve, once per lane per V-cycle) hold the scratch.
+  void apply(std::span<const double> b, std::span<double> x,
+             std::span<double> scratch) const;
+
+  /// Slots apply(b, x, scratch) needs: the grounded rhs, its solution and
+  /// the LDL' work vector, n - 1 each.
+  [[nodiscard]] std::size_t scratch_size() const noexcept {
+    return 3 * static_cast<std::size_t>(n_ - 1);
+  }
 
   [[nodiscard]] vidx dim() const noexcept { return n_; }
   [[nodiscard]] eidx factor_nnz() const noexcept {

@@ -1,8 +1,9 @@
 #include "hicond/obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <system_error>
 
 #include "hicond/util/common.hpp"
 
@@ -61,9 +62,7 @@ JsonWriter& JsonWriter::value(std::string_view s) {
 JsonWriter& JsonWriter::value(double d) {
   if (!std::isfinite(d)) return null();
   comma();
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  out_ += buf;
+  append_double(out_, d);
   need_comma_ = true;
   return *this;
 }
@@ -87,6 +86,18 @@ JsonWriter& JsonWriter::null() {
   out_ += "null";
   need_comma_ = true;
   return *this;
+}
+
+void append_double(std::string& out, double d) {
+  // to_chars with a precision is specified as printf's %.*g in the C
+  // locale, so these are the bytes "%.17g" printed, without the format
+  // parsing and locale lookups of snprintf. 32 bytes hold the longest,
+  // "-2.2250738585072014e-308".
+  char buf[32];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general, 17);
+  HICOND_ASSERT(r.ec == std::errc{});
+  out.append(buf, r.ptr);
 }
 
 std::string json_escape(std::string_view s) {
@@ -306,7 +317,8 @@ class Parser {
   }
 
   // RFC 8259 number grammar: optional '-' (no '+'), mandatory integer part,
-  // fraction and exponent each require at least one digit.
+  // fraction and exponent each require at least one digit. The scan checks
+  // the grammar; std::from_chars converts the checked span.
   JsonValue parse_number() {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
@@ -318,11 +330,14 @@ class Parser {
       }
       return count;
     };
+    const std::size_t int_begin = pos_;
     if (digits() == 0) fail("expected a value");
+    const std::size_t int_end = pos_;
     if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
       if (digits() == 0) fail("digits required after decimal point");
     }
+    const std::size_t mantissa_end = pos_;
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
       if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
@@ -332,12 +347,49 @@ class Parser {
     }
     JsonValue v;
     v.kind = JsonValue::Kind::number;
-    v.number = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(),
-                           nullptr);
-    // strtod saturates "1e999" to +inf; JSON has no non-finite numbers and
-    // every downstream consumer assumes finite values.
-    if (!std::isfinite(v.number)) fail("number out of double range");
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    const std::from_chars_result r = std::from_chars(first, last, v.number);
+    if (r.ec == std::errc::result_out_of_range) {
+      // from_chars reports overflow and underflow alike and leaves the value
+      // untouched. JSON has no non-finite numbers, so an overflow ("1e999")
+      // is rejected; an underflow keeps strtod's result, a signed zero.
+      if (decimal_order(int_begin, int_end, mantissa_end) >= 0) {
+        fail("number out of double range");
+      }
+      v.number = text_[start] == '-' ? -0.0 : 0.0;
+    } else if (r.ec != std::errc{} || r.ptr != last) {
+      fail("malformed number");
+    }
     return v;
+  }
+
+  /// Decimal exponent of the leading nonzero digit (floor(log10 |x|) of the
+  /// value as written) of the number scanned just before pos_, whose
+  /// integer digits are [int_begin, int_end) and whose mantissa ends at
+  /// mantissa_end. Only called when from_chars found the value out of
+  /// range, so a nonzero digit exists and the order lies beyond +-300.
+  [[nodiscard]] long decimal_order(std::size_t int_begin, std::size_t int_end,
+                                   std::size_t mantissa_end) const {
+    long order = static_cast<long>(int_end - int_begin) - 1;
+    for (std::size_t i = int_begin; i < mantissa_end; ++i) {
+      if (text_[i] == '.') continue;
+      if (text_[i] != '0') break;
+      --order;
+    }
+    // The exponent, saturated: its digits may overflow any integer type.
+    long exponent = 0;
+    std::size_t i = mantissa_end;
+    if (i < pos_) {
+      ++i;  // 'e' or 'E'
+      const bool negative = text_[i] == '-';
+      if (text_[i] == '-' || text_[i] == '+') ++i;
+      for (; i < pos_ && exponent < 100000; ++i) {
+        exponent = exponent * 10 + (text_[i] - '0');
+      }
+      if (negative) exponent = -exponent;
+    }
+    return order + exponent;
   }
 
   std::string_view text_;

@@ -54,6 +54,12 @@ class JsonWriter {
   bool need_comma_ = false;
 };
 
+/// Append `d` to `out` exactly as printf("%.17g") prints it, through
+/// std::to_chars: 17 significant digits, so every finite double survives
+/// write -> parse bit for bit. The library's one double formatter (the JSON
+/// writer, cache keys and canonical options all print through it).
+void append_double(std::string& out, double d);
+
 /// Escape `s` for inclusion inside a JSON string literal (no quotes added).
 [[nodiscard]] std::string json_escape(std::string_view s);
 
@@ -87,11 +93,14 @@ struct JsonValue {
 };
 
 /// Parse a complete JSON document. Throws invalid_argument_error with a
-/// byte offset on malformed input or trailing garbage.
+/// byte offset on malformed input, trailing garbage or a number beyond the
+/// double range; a number below it parses to a signed zero, as strtod
+/// rounds it.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
 /// Re-emit a parsed value through `w` (object keys keep insertion order,
-/// doubles print %.17g, so parse -> write_json round-trips numerically).
+/// doubles print as append_double, so parse -> write_json round-trips
+/// numerically).
 /// Used by aggregators that embed one JSON document inside another, e.g.
 /// the shard router merging per-worker stats responses.
 void write_json(JsonWriter& w, const JsonValue& v);

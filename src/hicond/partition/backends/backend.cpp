@@ -1,9 +1,9 @@
 #include "hicond/partition/backends/backend.hpp"
 
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
+#include "hicond/obs/json.hpp"
 #include "hicond/partition/backends/fixed_degree_backend.hpp"
 #include "hicond/partition/backends/louvain.hpp"
 #include "hicond/partition/backends/low_diameter.hpp"
@@ -21,9 +21,10 @@ void append_key_int(std::string& out, const char* name, long long v) {
 }
 
 void append_key_double(std::string& out, const char* name, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%s=%.17g;", name, v);
-  out += buf;
+  out += name;
+  out += '=';
+  obs::append_double(out, v);
+  out += ';';
 }
 
 }  // namespace detail

@@ -122,8 +122,8 @@ void validate_backend_output(const Graph& g, const Decomposition& d,
 namespace detail {
 
 /// Shared canonical-key renderers for options_key implementations:
-/// "name=value;" fragments, integers via to_string and doubles via %.17g
-/// (the same rendering serve::solver_options_key uses).
+/// "name=value;" fragments, integers via to_string and doubles via
+/// obs::append_double (serve::solver_options_key renders through these too).
 void append_key_int(std::string& out, const char* name, long long v);
 void append_key_double(std::string& out, const char* name, double v);
 

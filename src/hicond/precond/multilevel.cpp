@@ -80,6 +80,9 @@ MultilevelSteinerSolver::Workspace::Workspace(
   const auto nc = static_cast<std::size_t>(st.hierarchy.coarsest.num_vertices());
   coarsest_in_.resize(nc);
   coarsest_out_.resize(nc);
+  if (st.coarsest_solver != nullptr) {
+    coarsest_scratch_.resize(st.coarsest_solver->scratch_size());
+  }
   stats_.assign(levels_.size() + 1, {});
 }
 
@@ -112,7 +115,7 @@ void MultilevelSteinerSolver::coarsest_solve(std::span<const double> r,
     const std::size_t nc = in.size();
     for (std::size_t j = 0; j < W; ++j) {
       for (std::size_t v = 0; v < nc; ++v) in[v] = r[v * W + j];
-      st.coarsest_solver->apply(in, out);
+      st.coarsest_solver->apply(in, out, ws.coarsest_scratch_);
       for (std::size_t v = 0; v < nc; ++v) z[v * W + j] = out[v];
     }
   }

@@ -83,6 +83,7 @@ class MultilevelSteinerSolver {
     std::size_t width_;
     std::vector<Level> levels_;
     std::vector<double> coarsest_in_, coarsest_out_;  ///< one coarsest lane
+    std::vector<double> coarsest_scratch_;  ///< the LDL' solve's scratch
     std::vector<LevelCycleStats> stats_;  ///< levels + coarsest, this solve
   };
 

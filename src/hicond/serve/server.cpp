@@ -7,8 +7,8 @@
 #include <cerrno>
 #include <cstring>
 #include <exception>
-#include <istream>
-#include <ostream>
+#include <optional>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -111,8 +111,9 @@ std::optional<std::string> ServerCore::submit(const std::string& line) {
   std::int64_t id = -1;
   double deadline_ms =
       options_.default_deadline_ms > 0.0 ? options_.default_deadline_ms : -1.0;
+  obs::JsonValue request;
   try {
-    const obs::JsonValue request = obs::parse_json(line);
+    request = obs::parse_json(line);
     HICOND_CHECK(request.is_object(), "request must be a JSON object");
     if (const obs::JsonValue* idv = request.find("id");
         idv != nullptr && idv->is_number()) {
@@ -141,7 +142,7 @@ std::optional<std::string> ServerCore::submit(const std::string& line) {
     return error_response(id, "queue_full",
                           "request queue is at capacity; retry later");
   }
-  queue_.push_back(Pending{line, Timer{}, deadline_ms, id});
+  queue_.push_back(Pending{std::move(request), Timer{}, deadline_ms, id});
   return std::nullopt;
 }
 
@@ -172,7 +173,7 @@ std::string ServerCore::process(const Pending& pending) {
     return error_response(pending.id, "deadline_exceeded",
                           "deadline expired before processing began");
   }
-  const obs::JsonValue request = obs::parse_json(pending.raw);
+  const obs::JsonValue& request = pending.request;
   const std::string& op = request.at("op").string;
 
   obs::JsonWriter w;
@@ -478,64 +479,42 @@ std::string ServerCore::process(const Pending& pending) {
   return w.str();
 }
 
-int serve_stream(ServerCore& core, std::istream& in, std::ostream& out) {
-  std::string line;
-  while (!core.shutting_down() && std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    if (auto immediate = core.submit(line)) {
-      out << *immediate << '\n' << std::flush;
-      continue;
-    }
-    while (auto response = core.step()) {
-      out << *response << '\n' << std::flush;
-    }
-  }
-  // EOF or shutdown: drain anything still queued before returning.
-  while (auto response = core.step()) {
-    out << *response << '\n' << std::flush;
-  }
-  return 0;
-}
-
-namespace {
-
-void serve_connection(ServerCore& core, int fd) {
+void serve_connection(ServerCore& core, int in_fd, int out_fd) {
   // Both directions go through the shared wire helpers, which absorb EINTR
   // and short reads/writes in one audited place (serve/wire.hpp).
   wire::LineBuffer buffer;
   std::string line;
-  const auto emit = [fd](const std::string& response) {
-    return wire::write_line(fd, response);
+  // Answers one request line; false once the loop must stop (a write
+  // failed, or a shutdown request has been executed).
+  const auto answer = [&core, out_fd](const std::string& request) {
+    if (request.empty()) {
+      return true;
+    }
+    if (auto immediate = core.submit(request)) {
+      return wire::write_line(out_fd, *immediate);
+    }
+    while (auto response = core.step()) {
+      if (!wire::write_line(out_fd, *response)) {
+        return false;
+      }
+    }
+    return !core.shutting_down();
   };
   for (;;) {
-    if (wire::read_into(fd, buffer) != wire::ReadStatus::data) {
-      break;
+    const wire::ReadStatus status = wire::read_into(in_fd, buffer);
+    if (status != wire::ReadStatus::data) {
+      if (status == wire::ReadStatus::eof && buffer.take_rest(line)) {
+        static_cast<void>(answer(line));
+      }
+      return;
     }
     while (buffer.next_line(line)) {
-      if (line.empty()) {
-        continue;
-      }
-      if (auto immediate = core.submit(line)) {
-        if (!emit(*immediate)) {
-          return;
-        }
-        continue;
-      }
-      while (auto response = core.step()) {
-        if (!emit(*response)) {
-          return;
-        }
-      }
-      if (core.shutting_down()) {
+      if (!answer(line)) {
         return;
       }
     }
   }
 }
-
-}  // namespace
 
 int serve_unix_socket(ServerCore& core, const std::string& path) {
   sockaddr_un addr{};
@@ -560,7 +539,7 @@ int serve_unix_socket(ServerCore& core, const std::string& path) {
     }
     // unique_fd closes the connection even when serve_connection throws
     // (a malformed request reaching a HICOND_CHECK used to leak it here).
-    serve_connection(core, fd.get());
+    serve_connection(core, fd.get(), fd.get());
   }
   ::unlink(path.c_str());
   return 0;

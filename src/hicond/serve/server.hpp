@@ -3,9 +3,10 @@
 // ServerCore is the transport-independent request engine: submit() parses
 // and admits one request line into a bounded queue (returning an immediate
 // shed response when the queue is full -- explicit backpressure instead of
-// unbounded buffering), step() executes the oldest admitted request, and
-// the transports (stdio loop, unix socket; examples/hicond_serve.cpp) do
-// nothing but move lines. Deadlines are checked at phase boundaries: on
+// unbounded buffering), step() executes the oldest admitted request from
+// its parsed tree (each line is parsed once), and the transports (stdio and
+// unix-socket connections, both through serve_connection) do nothing but
+// move lines. Deadlines are checked at phase boundaries: on
 // dequeue, and again between hierarchy setup and the solve, so an expired
 // request is shed before it burns solver time. A shutdown request drains
 // everything already admitted, then stops the loop -- exit is clean, never
@@ -29,12 +30,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 
+#include "hicond/obs/json.hpp"
 #include "hicond/serve/cache.hpp"
 #include "hicond/util/timer.hpp"
 
@@ -80,7 +81,7 @@ class ServerCore {
 
  private:
   struct Pending {
-    std::string raw;
+    obs::JsonValue request;   ///< parsed once, at admission
     Timer since_submit;       ///< deadline clock starts at admission
     double deadline_ms = 0.0; ///< <= 0: none
     std::int64_t id = -1;     ///< echoed back; -1 when absent
@@ -97,10 +98,13 @@ class ServerCore {
   std::int64_t shed_ = 0;
 };
 
-/// Blocking NDJSON loop over an istream/ostream pair (the stdio transport):
-/// reads lines, submits, drains responses eagerly, returns on EOF or after
-/// a shutdown request completed. Returns 0 on clean exit.
-int serve_stream(ServerCore& core, std::istream& in, std::ostream& out);
+/// The one NDJSON serve loop: reads request lines from `in_fd` through
+/// wire::LineBuffer, submits each, and writes every response to `out_fd`
+/// with wire::write_line as soon as it exists. Returns on EOF, on a read or
+/// write error, or after a shutdown request completed. At EOF a final line
+/// without its '\n' is still answered. The stdio transport runs it on
+/// fds 0 and 1, and each unix-socket connection on its socket fd.
+void serve_connection(ServerCore& core, int in_fd, int out_fd);
 
 /// Same protocol over a unix domain socket: binds `path`, accepts one
 /// connection at a time, serves each until its EOF, and returns after a

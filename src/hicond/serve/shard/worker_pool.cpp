@@ -11,6 +11,7 @@
 #include <cstring>
 #include <utility>
 
+#include "hicond/obs/json.hpp"
 #include "hicond/serve/wire.hpp"
 #include "hicond/util/common.hpp"
 
@@ -31,10 +32,9 @@ std::vector<std::string> worker_argv(const WorkerOptions& options,
   args.push_back("--queue");
   args.push_back(std::to_string(options.queue_capacity));
   if (options.deadline_ms > 0.0) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", options.deadline_ms);
     args.push_back("--deadline-ms");
-    args.push_back(buf);
+    args.emplace_back();
+    obs::append_double(args.back(), options.deadline_ms);
   }
   return args;
 }

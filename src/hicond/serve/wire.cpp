@@ -155,18 +155,30 @@ void LineBuffer::append(const char* data, std::size_t len) {
   // Compact consumed bytes before growing; amortized O(1) per byte.
   if (start_ > 0 && (start_ >= data_.size() || start_ > 4096)) {
     data_.erase(0, start_);
+    scanned_ -= start_;
     start_ = 0;
   }
   data_.append(data, len);
 }
 
 bool LineBuffer::next_line(std::string& line) {
-  const std::size_t nl = data_.find('\n', start_);
+  const std::size_t nl = data_.find('\n', scanned_);
   if (nl == std::string::npos) {
+    scanned_ = data_.size();
     return false;
   }
   line.assign(data_, start_, nl - start_);
   start_ = nl + 1;
+  scanned_ = start_;
+  return true;
+}
+
+bool LineBuffer::take_rest(std::string& line) {
+  if (buffered() == 0) {
+    return false;
+  }
+  line.assign(data_, start_);
+  clear();
   return true;
 }
 

@@ -63,7 +63,8 @@ enum class ReadStatus {
 /// Incremental NDJSON line framer: append raw chunks as they arrive, pop
 /// complete '\n'-terminated lines (delimiter stripped) as they form.
 /// Consumed bytes are compacted away lazily so a long-lived connection does
-/// not grow the buffer without bound.
+/// not grow the buffer without bound, and each byte is scanned for '\n'
+/// once, so a long line arriving in many chunks costs linear time.
 class LineBuffer {
  public:
   void append(const char* data, std::size_t len);
@@ -71,6 +72,11 @@ class LineBuffer {
   /// Move the next complete line into `line` (without its '\n'); false when
   /// no full line is buffered yet.
   [[nodiscard]] bool next_line(std::string& line);
+
+  /// At EOF: move the unterminated tail into `line` and empty the buffer;
+  /// false when nothing is buffered. A stream whose last line lacks its
+  /// '\n' still delivers that line, as std::getline does.
+  [[nodiscard]] bool take_rest(std::string& line);
 
   /// Bytes buffered but not yet returned by next_line().
   [[nodiscard]] std::size_t buffered() const noexcept {
@@ -80,11 +86,13 @@ class LineBuffer {
   void clear() noexcept {
     data_.clear();
     start_ = 0;
+    scanned_ = 0;
   }
 
  private:
   std::string data_;
-  std::size_t start_ = 0;
+  std::size_t start_ = 0;    ///< first byte not yet returned
+  std::size_t scanned_ = 0;  ///< [start_, scanned_) holds no '\n'
 };
 
 }  // namespace hicond::serve::wire

@@ -12,10 +12,13 @@
 // <omp.h> is used only to force the ambient thread count, as in
 // test_thread_determinism.cpp.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -28,8 +31,10 @@
 #include "hicond/serve/cache.hpp"
 #include "hicond/serve/server.hpp"
 #include "hicond/serve/snapshot.hpp"
+#include "hicond/serve/wire.hpp"
 #include "hicond/solver.hpp"
 #include "hicond/util/rng.hpp"
+#include "hicond/util/unique_fd.hpp"
 #include "inprocess_client.hpp"
 
 namespace hicond {
@@ -123,6 +128,41 @@ TEST(ServeCache, DistinctOptionsAreDistinctEntries) {
     EXPECT_FALSE(built.hit) << i;
   }
   EXPECT_EQ(cache.stats().entries, std::size(variants));
+}
+
+TEST(ServeCache, OptionsKeysArePinned) {
+  // The keys' doubles print through obs::append_double; these strings are
+  // the ones snprintf("%.17g") produced, so a formatter change that moved
+  // a single byte would orphan every cached entry keyed the old way.
+  EXPECT_EQ(serve::solver_options_key({}),
+            "backend=fixed_degree;fd.max_cluster_size=4;fd.seed=1;"
+            "fd.perturb=1;h.coarsest_size=256;h.max_levels=40;h.refine=0;"
+            "r.gamma_floor=0.29999999999999999;r.max_rounds=10;"
+            "ml.smoother=0;ml.chebyshev_degree=3;rel_tolerance=1e-08;"
+            "max_iterations=10000;");
+  LaplacianSolverOptions louvain;
+  louvain.rel_tolerance = 1e-10;
+  louvain.hierarchy.refinement.gamma_floor = 0.1;
+  louvain.hierarchy.contraction.backend = "louvain";
+  louvain.hierarchy.contraction.resolution = 1.0 / 3.0;
+  EXPECT_EQ(serve::solver_options_key(louvain),
+            "backend=louvain;lv.max_cluster_size=4;"
+            "lv.resolution=0.33333333333333331;lv.rounds=8;"
+            "h.coarsest_size=256;h.max_levels=40;h.refine=0;"
+            "r.gamma_floor=0.10000000000000001;r.max_rounds=10;"
+            "ml.smoother=0;ml.chebyshev_degree=3;rel_tolerance=1e-10;"
+            "max_iterations=10000;");
+  LaplacianSolverOptions lowdiam;
+  lowdiam.hierarchy.contraction.backend = "lowdiam";
+  lowdiam.hierarchy.contraction.beta = 0.35;
+  lowdiam.rel_tolerance = 2.5e-7;
+  lowdiam.max_iterations = 123;
+  EXPECT_EQ(serve::solver_options_key(lowdiam),
+            "backend=lowdiam;ld.seed=1;ld.beta=0.34999999999999998;"
+            "h.coarsest_size=256;h.max_levels=40;h.refine=0;"
+            "r.gamma_floor=0.29999999999999999;r.max_rounds=10;"
+            "ml.smoother=0;ml.chebyshev_degree=3;"
+            "rel_tolerance=2.4999999999999999e-07;max_iterations=123;");
 }
 
 TEST(ServeCache, SameFingerprintDifferentBackendsAreIsolatedEntries) {
@@ -688,6 +728,130 @@ TEST(ServeUpdate, ErrorPathsLeaveServerStateUntouched) {
       R"({"op":"solve","graph":")" + fp + R"(","rhs_seed":2})");
   ASSERT_TRUE(solve.at("ok").boolean);
   EXPECT_TRUE(solve.at("converged").boolean);
+}
+
+// --- the serve loop and its line framer -----------------------------------
+
+TEST(ServeWire, LineBufferReturnsLongLinesFedInSmallChunks) {
+  // A 1 MB line between short ones, fed 4 KB at a time: every line comes
+  // back whole, and the unterminated tail is what take_rest() returns.
+  const std::string big(std::size_t{1} << 20, 'x');
+  const std::vector<std::string> lines = {"first", big, "", "short",
+                                          big + "y", "last"};
+  std::string stream;
+  for (const std::string& line : lines) {
+    stream += line;
+    stream += '\n';
+  }
+  stream += "tail";
+  serve::wire::LineBuffer buffer;
+  std::vector<std::string> got;
+  std::string line;
+  constexpr std::size_t kChunk = 4096;
+  for (std::size_t at = 0; at < stream.size(); at += kChunk) {
+    buffer.append(stream.data() + at, std::min(kChunk, stream.size() - at));
+    while (buffer.next_line(line)) {
+      got.push_back(line);
+    }
+  }
+  ASSERT_EQ(got.size(), lines.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(got[i], lines[i]) << i;
+  }
+  EXPECT_EQ(buffer.buffered(), 4u);
+  ASSERT_TRUE(buffer.take_rest(line));
+  EXPECT_EQ(line, "tail");
+  EXPECT_EQ(buffer.buffered(), 0u);
+  EXPECT_FALSE(buffer.take_rest(line));
+}
+
+/// `response` with the values of its timing fields (wall-clock, so never
+/// reproducible) replaced by 0.
+std::string without_timings(const std::string& response) {
+  std::string out;
+  std::size_t copied = 0;
+  for (const std::string key : {"\"setup_seconds\":", "\"solve_seconds\":"}) {
+    const std::size_t at = response.find(key, copied);
+    if (at == std::string::npos) {
+      continue;
+    }
+    const std::size_t begin = at + key.size();
+    out.append(response, copied, begin - copied);
+    out += '0';
+    copied = response.find_first_of(",}", begin);
+  }
+  out.append(response, copied);
+  return out;
+}
+
+TEST(ServeLoop, StdioLoopAnswersExactlyAsTheInProcessCore) {
+  // A 40k-entry explicit b with return_x, through serve_connection on file
+  // descriptors as hicond_serve runs it on stdio, against the same lines
+  // through ServerCore::submit/step. The last line has no '\n' and must
+  // still be answered at EOF; blank lines are skipped.
+  const Graph g = gen::grid2d(200, 200, gen::WeightSpec::uniform(0.5, 2.0), 3);
+  const std::string path = write_test_snapshot(g, "serve_loop.hsnap");
+  const std::string fp = serve::fingerprint_hex(serve::graph_fingerprint(g));
+  obs::JsonWriter solve;
+  solve.begin_object();
+  solve.kv("id", 2);
+  solve.kv("op", "solve");
+  solve.kv("graph", fp);
+  solve.kv("return_x", true);
+  solve.key("b");
+  solve.begin_array();
+  for (const double bi : mean_free_rhs(g.num_vertices(), 17)) {
+    solve.value(bi);
+  }
+  solve.end_array();
+  solve.end_object();
+  const std::vector<std::string> requests = {
+      R"({"id":1,"op":"load","path":")" + path + R"("})", solve.str(),
+      R"({"id":3,"op":"nope"})", R"({"id":4,"op":"stats"})"};
+
+  std::vector<std::string> expected;
+  {
+    serve::ServerCore core;
+    for (const std::string& request : requests) {
+      if (auto immediate = core.submit(request)) {
+        expected.push_back(*immediate);
+      }
+      while (auto response = core.step()) {
+        expected.push_back(*response);
+      }
+    }
+  }
+
+  const std::string in_path = testing::TempDir() + "/serve_loop.in";
+  const std::string out_path = testing::TempDir() + "/serve_loop.out";
+  {
+    std::ofstream in(in_path, std::ios::binary);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      in << requests[i] << (i + 1 < requests.size() ? "\n\n" : "");
+    }
+  }
+  {
+    serve::ServerCore core;
+    const unique_fd in_fd(::open(in_path.c_str(), O_RDONLY | O_CLOEXEC));
+    const unique_fd out_fd(::open(out_path.c_str(),
+                                  O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                                  0600));
+    ASSERT_TRUE(in_fd && out_fd);
+    serve::serve_connection(core, in_fd.get(), out_fd.get());
+  }
+  std::ifstream out(out_path, std::ios::binary);
+  std::vector<std::string> got;
+  for (std::string line; std::getline(out, line);) {
+    got.push_back(line);
+  }
+  ASSERT_EQ(got.size(), expected.size());
+  ASSERT_EQ(got.size(), requests.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(without_timings(got[i]), without_timings(expected[i])) << i;
+  }
+  const obs::JsonValue solved = obs::parse_json(got[1]);
+  ASSERT_TRUE(solved.at("ok").boolean);
+  EXPECT_EQ(solved.at("x").array.size(), 40000u);
 }
 
 // --- fingerprints ---------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "hicond/graph/generators.hpp"
 #include "hicond/la/vector_ops.hpp"
@@ -129,6 +130,46 @@ TEST(LaplacianDirectSolver, LargeGridAccuracy) {
   std::vector<double> x(900);
   solver.apply(b, x);
   EXPECT_LT(la::max_abs_diff(x, x_true), 1e-7);
+}
+
+TEST(LaplacianDirectSolver, ScratchFormIsBitwiseSolve) {
+  // The multilevel coarsest solve reuses one scratch across lanes and
+  // V-cycles, so what a previous call left there (poisoned with NaN here)
+  // must not reach the result.
+  const Graph g = gen::grid2d(12, 9, gen::WeightSpec::uniform(1.0, 10.0), 4);
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const LaplacianDirectSolver solver(g);
+  ASSERT_EQ(solver.scratch_size(), 3 * (n - 1));
+  std::vector<double> scratch(solver.scratch_size(), std::nan(""));
+  std::vector<double> x(n, std::nan(""));
+  Rng rng(21);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<double> b(n);
+    for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+    solver.apply(b, x, scratch);
+    const std::vector<double> expected = solver.solve(b);
+    ASSERT_EQ(std::memcmp(x.data(), expected.data(), n * sizeof(double)), 0);
+  }
+  const LaplacianDirectSolver single(Graph(1));
+  EXPECT_EQ(single.scratch_size(), 0U);
+  std::vector<double> x1{5.0};
+  single.apply(std::vector<double>{1.0}, x1, {});
+  EXPECT_EQ(x1[0], 0.0);
+}
+
+TEST(SparseLdl, SpanSolveIsBitwiseVectorSolve) {
+  const Graph g = gen::grid3d(5, 4, 3, gen::WeightSpec::uniform(0.5, 2.0), 8);
+  const CsrMatrix a = spd_from_graph(g, 0.25);
+  const SparseLDL f = SparseLDL::factor(a, Ordering::amd);
+  const auto n = static_cast<std::size_t>(f.dim());
+  Rng rng(6);
+  std::vector<double> b(n);
+  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+  std::vector<double> x(n, std::nan(""));
+  std::vector<double> work(n, std::nan(""));
+  f.solve(b, x, work);
+  const std::vector<double> expected = f.solve(b);
+  EXPECT_EQ(std::memcmp(x.data(), expected.data(), n * sizeof(double)), 0);
 }
 
 }  // namespace

@@ -99,6 +99,14 @@ Rules (each failure prints `path:line: [rule] message` and exits nonzero):
                       in a caller-owned workspace instead.  Lambdas declared
                       `mutable` are not data members and are not matched.
 
+  double-codec        No `"%.17g"` format and no `strtod(` call under
+                      src/hicond/ outside the JSON codec (obs/json.*).
+                      Doubles print through obs::append_double (to_chars,
+                      the same bytes as %.17g) and parse through
+                      obs::parse_json (from_chars), so every key and
+                      response formats a number one way.  Comments are not
+                      matched.
+
   module-reach        Every header under src/hicond/ must be reached by the
                       include closure of some translation unit under
                       examples/, bench/, perfbench/src/ or fuzz/.  The
@@ -170,6 +178,11 @@ MUTABLE_ALLOWED = re.compile(
 )
 RAW_CLOSE = re.compile(r"(?:(?<![\w.>:])|(?<=::))close\s*\(")
 
+# double-codec: the one double formatter/parser lives in the JSON codec.
+DOUBLE_CODEC_FILES = {"src/hicond/obs/json.cpp", "src/hicond/obs/json.hpp"}
+PRINTF_17G = re.compile(r"%\.17g")
+STRTOD_CALL = re.compile(r"\bstrtod\s*\(")
+
 # module-reach: the binaries, benches and fuzz drivers whose include
 # closure every library header must belong to.
 REACH_ENTRY_DIRS = ("examples", "bench", "perfbench/src", "fuzz")
@@ -181,6 +194,14 @@ def strip_comments(line: str) -> str:
     """Best-effort removal of // comments and string literals for token rules."""
     line = re.sub(r'"(?:[^"\\]|\\.)*"', '""', line)
     return line.split("//", 1)[0]
+
+
+def strip_comment_keep_strings(line: str) -> str:
+    """`line` without its // comment; string literals stay intact."""
+    masked = re.sub(r'"(?:[^"\\]|\\.)*"',
+                    lambda m: "\"" + "_" * (len(m.group(0)) - 2) + "\"", line)
+    cut = masked.find("//")
+    return line if cut < 0 else line[:cut]
 
 
 def logical_source_lines(text: str):
@@ -380,6 +401,19 @@ def main() -> int:
                             "raw close() outside util/unique_fd.hpp; own "
                             "descriptors with hicond::unique_fd (reset() "
                             "is the single close site)")
+
+            # --- double-codec -----------------------------------------
+            if (rel.startswith("src/hicond/")
+                    and rel not in DOUBLE_CODEC_FILES):
+                for lineno, line in enumerate(lines, 1):
+                    if PRINTF_17G.search(strip_comment_keep_strings(line)):
+                        err(path, lineno, "double-codec",
+                            '"%.17g" outside obs/json; print doubles with '
+                            "obs::append_double")
+                    if STRTOD_CALL.search(strip_comments(line)):
+                        err(path, lineno, "double-codec",
+                            "strtod() outside obs/json; parse numbers with "
+                            "obs::parse_json (std::from_chars)")
 
             # --- mutable-member ---------------------------------------
             if rel.startswith("src/hicond/"):
